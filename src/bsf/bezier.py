@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -99,6 +98,48 @@ def weighted_design_matrix(m: int, degree: int, T: np.ndarray) -> np.ndarray:
     idx, w = _basis_arrays(m, degree)
     mono = np.prod(T[:, None, :] ** idx[None, :, :], axis=2)
     return w * mono
+
+
+@lru_cache(maxsize=None)
+def _shift_rows(m: int, degree: int, order: int) -> np.ndarray:
+    """Row table for index-shifted control nets.
+
+    Entry [e, i_1, ..., i_order] is the row of e + e_i1 + ... + e_iorder in
+    multi_indices(m, degree), for each e in multi_indices(m, degree - order).
+    """
+    rows = {d: r for r, d in enumerate(multi_indices(m, degree))}
+    lower = multi_indices(m, degree - order)
+    table = np.empty((len(lower),) + (m,) * order, dtype=np.intp)
+    for pos in np.ndindex(table.shape):
+        d = list(lower[pos[0]])
+        for j in pos[1:]:
+            d[j] += 1
+        table[pos] = rows[tuple(d)]
+    table.setflags(write=False)
+    return table
+
+
+def partial_derivatives(m: int, degree: int, points, T, order: int) -> np.ndarray:
+    """Partial derivatives of one order of the model at every row of T.
+
+    Returns shape (n, ambient) + (m,) * order; order 0 is the value itself.
+    Coordinates are treated as independent variables. Every order is the
+    design matrix one order lower applied to an index-shifted control net:
+
+        d^k b / dt_i1 ... dt_ik = D!/(D-k)! * sum_{|e|=D-k} B_e(t) p_{e+e_i1+...+e_ik}
+
+    (Farin, Curves and Surfaces for CAGD). Orders above the degree vanish.
+    Rows of T are used as given, without barycentric validation.
+    """
+    T = np.asarray(T, dtype=float)
+    points = np.asarray(points, dtype=float)
+    if order > degree:
+        return np.zeros((T.shape[0], points.shape[1]) + (m,) * order)
+    net = points[_shift_rows(m, degree, order)]  # (K_low, m, ..., m, ambient)
+    basis = weighted_design_matrix(m, degree - order, T)  # (n, K_low)
+    out = (basis @ net.reshape(net.shape[0], -1)).reshape((T.shape[0],) + net.shape[1:])
+    out *= math.perm(degree, order)
+    return out.transpose((0, order + 1) + tuple(range(1, order + 1)))
 
 
 def as_barycentric(t, m: int | None = None) -> np.ndarray:
@@ -243,18 +284,12 @@ class BezierSimplex:
         constraint is the caller's concern.
         """
         t = as_barycentric(t, self.m)
-        basis = _derivative_basis(self.m, self.degree)
-        pt = _power_table(t, self.degree)
-        mono = np.prod(pt[basis.grad_exp, basis.cols], axis=-1)  # (m, K)
-        return ((basis.grad_coef * mono) @ self.points).T
+        return partial_derivatives(self.m, self.degree, self.points, t[None, :], 1)[0]
 
     def hessian(self, t) -> np.ndarray:
         """Second partials as an (ambient, m, m) tensor, symmetric in the last two axes."""
         t = as_barycentric(t, self.m)
-        basis = _derivative_basis(self.m, self.degree)
-        pt = _power_table(t, self.degree)
-        mono = np.prod(pt[basis.hess_exp, basis.cols], axis=-1)  # (m, m, K)
-        return np.einsum("ijk,ka->aij", basis.hess_coef * mono, self.points)
+        return partial_derivatives(self.m, self.degree, self.points, t[None, :], 2)[0]
 
     # -- structure ----------------------------------------------------------
 
@@ -316,35 +351,3 @@ def embed_index(d: tuple[int, ...], face: tuple[int, ...], m: int) -> tuple[int,
     for value, j in zip(d, face):
         out[j] = value
     return tuple(out)
-
-
-def _power_table(t: np.ndarray, degree: int) -> np.ndarray:
-    # pt[e, j] = t_j ** e for e = 0..degree; 0**0 == 1 covers boundary points.
-    return t[None, :] ** np.arange(degree + 1)[:, None]
-
-
-@lru_cache(maxsize=None)
-def _derivative_basis(m: int, degree: int) -> SimpleNamespace:
-    """Exponent/coefficient tables for analytic derivatives, fixed per (m, degree).
-
-    Exponents are clipped at zero where the matching coefficient vanishes, so
-    the gathered monomial is harmless.
-    """
-    idx, w = _basis_arrays(m, degree)
-    eye = np.eye(m, dtype=np.int64)
-    grad_exp = np.maximum(idx[None, :, :] - eye[:, None, :], 0)  # (m, K, m)
-    grad_coef = w[None, :] * idx.T  # (m, K): w_k * d_kj
-    hess_exp = np.maximum(
-        idx[None, None, :, :] - eye[:, None, None, :] - eye[None, :, None, :], 0
-    )  # (m, m, K, m)
-    dj_minus = idx.T[None, :, :] - eye[:, :, None]  # (m, m, K): d_kj - delta_ij
-    hess_coef = w[None, None, :] * idx.T[:, None, :] * dj_minus
-    return SimpleNamespace(
-        idx=idx,
-        w=w,
-        cols=np.arange(m),
-        grad_exp=grad_exp,
-        grad_coef=grad_coef,
-        hess_exp=hess_exp,
-        hess_coef=hess_coef,
-    )

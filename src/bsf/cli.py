@@ -208,7 +208,7 @@ def cmd_fit(args) -> int:
     sidecar.write_text(json.dumps(result.sidecar_dict(), indent=2) + "\n")
     X = union.ambient()
     T0 = init_parameters(result.model, X, cfg)
-    T = np.vstack([project_parameter(result.model, x, t0, cfg) for x, t0 in zip(X, T0)])
+    T = project_parameter(result.model, X, T0, cfg)
     final = math.sqrt(sse(result.model, X, T)) / X.shape[0]
     print(
         f"method={args.method} outer_iterations={result.outer_iterations} "

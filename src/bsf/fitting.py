@@ -9,8 +9,10 @@ Two fitting strategies share one alternating loop:
 
 The parameter update is a constrained Newton iteration on the squared
 distance, with the last barycentric coordinate eliminated and iterates
-clamped back onto the simplex. The control-point update is an exact linear
-least-squares solve, so the per-iteration loss never increases.
+clamped back onto the simplex. It runs on all samples at once as one batch,
+but its stopping rules and its gradient fallback apply to each sample on its
+own. The control-point update is an exact linear least-squares solve, so the
+per-iteration loss never increases.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ import numpy as np
 
 from .bezier import (
     BezierSimplex,
-    _derivative_basis,
-    _power_table,
-    as_barycentric,
+    as_barycentric_rows,
     face_indices,
     multi_indices,
+    partial_derivatives,
     weighted_design_matrix,
 )
 from .errors import DimensionError, InsufficientDataError
@@ -142,100 +143,129 @@ def init_parameters(model: BezierSimplex, X, cfg: FitConfig) -> np.ndarray:
     return grid[best]
 
 
-def _evaluate_raw(basis, points, t):
-    pt = _power_table(t, int(basis.idx.sum(axis=1).max(initial=0)))
-    mono = np.prod(pt[basis.idx, basis.cols], axis=-1)
-    return (basis.w * mono) @ points
+def _clamp_renorm(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp rows onto the nonnegative orthant and renormalize them.
+
+    Returns the rows and a mask of those that could be renormalized; rows
+    with no positive entry are left unnormalized and flagged False.
+    """
+    T = np.maximum(T, 0.0)
+    s = T.sum(axis=1)
+    ok = s > 0.0
+    T[ok] /= s[ok, None]
+    return T, ok
 
 
-def _value_jac_hess(basis, points, degree, t):
-    pt = _power_table(t, degree)
-    mono = np.prod(pt[basis.idx, basis.cols], axis=-1)
-    b = (basis.w * mono) @ points
-    mg = np.prod(pt[basis.grad_exp, basis.cols], axis=-1)
-    jac = ((basis.grad_coef * mg) @ points).T  # (A, m)
-    mh = np.prod(pt[basis.hess_exp, basis.cols], axis=-1)
-    hess = np.einsum("ijk,ka->aij", basis.hess_coef * mh, points)  # (A, m, m)
-    return b, jac, hess
+def _solve_rows(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve H[i] @ s[i] = g[i] for a stack of systems.
 
-
-def _clamp_renorm(t: np.ndarray) -> np.ndarray | None:
-    t = np.maximum(t, 0.0)
-    s = t.sum()
-    if s <= 0.0:
-        return None
-    return t / s if s != 1.0 else t
+    One stacked solve when every matrix is regular; if it raises, each row is
+    solved alone and the singular ones come back as NaN.
+    """
+    try:
+        return np.linalg.solve(H, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(g.shape, np.nan)
+        for i in range(g.shape[0]):
+            try:
+                out[i] = np.linalg.solve(H[i], g[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def project_parameter(model: BezierSimplex, x, t0, cfg: FitConfig) -> np.ndarray:
     """Foot-point projection: locally minimize |b(t) - x|^2 over the simplex.
 
+    `x` is one point of shape (ambient,) with `t0` of shape (m,), or a batch
+    of shape (n, ambient) with `t0` of shape (n, m); the result has the shape
+    of `t0`. All rows run one vectorized Newton iteration, but every rule
+    below applies to each row on its own, and a row that stops is frozen.
+
     Newton steps act on the reduced coordinates (the last one is eliminated
     through the sum constraint); after each step negative entries are clamped
-    to zero and the vector renormalized. Iteration stops when the full
+    to zero and the vector renormalized. A row stops when its full
     orthogonality residual sqrt(sum_j <d b/d t_j, b(t) - x>^2) drops below
-    cfg.newton_tol, at the iteration cap, or once the iterate stalls (a step
-    below 1e-15, or five consecutive steps without improving the best squared
-    distance; clamped boundary minima never satisfy the residual test). A
-    singular or non-finite Newton system falls back to a backtracking gradient
-    step (at most 20 halvings). The best iterate by squared distance is
-    returned, so the result never falls behind the start.
+    cfg.newton_tol, at the iteration cap, or once it stalls (a step below
+    1e-15, or five consecutive steps without improving its best squared
+    distance; clamped boundary minima never satisfy the residual test). A row
+    whose Newton system is singular or non-finite falls back to a
+    backtracking gradient step (at most 20 halvings). Each row returns its
+    best iterate by squared distance, so no result falls behind its start.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.ambient,):
-        raise DimensionError(f"expected a point in R^{model.ambient}, got shape {x.shape}")
-    t = as_barycentric(t0, model.m)
-    if model.m == 1:
-        return t
-    basis = _derivative_basis(model.m, model.degree)
-    P = model.points
+    X = np.asarray(x, dtype=float)
+    single = X.ndim == 1
+    X = np.atleast_2d(X)
+    if X.ndim != 2 or X.shape[1] != model.ambient:
+        raise DimensionError(f"expected points in R^{model.ambient}, got shape {np.shape(x)}")
+    T = as_barycentric_rows(t0, model.m)
+    if T.shape[0] != X.shape[0]:
+        raise DimensionError("points and starting parameters disagree in count")
+    if model.m > 1:
+        T = _newton_rows(model, X, T, cfg)
+    return T[0] if single else T
 
-    def squared_distance(tv):
-        r = _evaluate_raw(basis, P, tv) - x
-        return float(r @ r)
 
-    best_t, best_g = t, squared_distance(t)
-    stalled = 0
+def _newton_rows(model: BezierSimplex, X, T, cfg: FitConfig) -> np.ndarray:
+    m, degree, P = model.m, model.degree, model.points
+
+    def residuals(Tv, Xv):
+        return weighted_design_matrix(m, degree, Tv) @ P - Xv
+
+    R = residuals(T, X)  # b(t) - x at every row's current iterate
+    best_T, best_g = T.copy(), np.sum(R * R, axis=1)
+    stalled = np.zeros(T.shape[0], dtype=int)
+    active = np.arange(T.shape[0])
     for _ in range(cfg.max_newton_iters):
-        b, jac, hess = _value_jac_hess(basis, P, model.degree, t)
-        r = b - x
-        resid = jac.T @ r
-        if math.sqrt(float(resid @ resid)) <= cfg.newton_tol:
+        if active.size == 0:
             break
-        g_now = float(r @ r)
+        t, x, r = T[active], X[active], R[active]
+        jac = partial_derivatives(m, degree, P, t, 1)  # (k, A, m)
+        resid = np.einsum("kaj,ka->kj", jac, r)
+        going = ~(np.sqrt(np.sum(resid * resid, axis=1)) <= cfg.newton_tol)
+        active, t, x, r, jac, resid = (a[going] for a in (active, t, x, r, jac, resid))
+        if active.size == 0:
+            break
+        hess = partial_derivatives(m, degree, P, t, 2)  # (k, A, m, m)
+        g_now = np.sum(r * r, axis=1)
         grad = 2.0 * resid
-        hg = 2.0 * (jac.T @ jac + np.tensordot(r, hess, axes=(0, 0)))
-        gu = grad[:-1] - grad[-1]
-        hu = hg[:-1, :-1] - hg[:-1, -1:] - hg[-1:, :-1] + hg[-1, -1]
-        t_new = None
-        try:
-            step = np.linalg.solve(hu, -gu)
-            if np.all(np.isfinite(step)):
-                t_new = _clamp_renorm(t + np.append(step, -step.sum()))
-        except np.linalg.LinAlgError:
-            t_new = None
-        if t_new is None:
-            # damped gradient fallback keeps the iteration total
-            direction = np.append(-gu, gu.sum())
-            alpha = 1.0
-            for _ in range(20):
-                cand = _clamp_renorm(t + alpha * direction)
-                if cand is not None and squared_distance(cand) < g_now:
-                    t_new = cand
-                    break
-                alpha *= 0.5
-        if t_new is None or np.max(np.abs(t_new - t)) <= 1e-15:
-            break  # fixed point (typically a clamped boundary minimum)
-        t = t_new
-        g = squared_distance(t)
-        if g < best_g:
-            best_t, best_g = t, g
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 5:
+        hg = 2.0 * (
+            np.einsum("kai,kaj->kij", jac, jac) + np.einsum("ka,kaij->kij", r, hess)
+        )
+        gu = grad[:, :-1] - grad[:, -1:]
+        hu = hg[:, :-1, :-1] - hg[:, :-1, -1:] - hg[:, -1:, :-1] + hg[:, -1:, -1:]
+        step = _solve_rows(hu, -gu)
+        # a non-finite step fails its row, as a singular system does
+        step[~np.all(np.isfinite(step), axis=1)] = np.nan
+        step = np.append(step, -step.sum(axis=1, keepdims=True), axis=1)
+        t_new, found = _clamp_renorm(t + step)
+        # damped gradient fallback keeps the iteration total
+        direction = np.append(-gu, gu.sum(axis=1, keepdims=True), axis=1)
+        alpha = 1.0
+        for _ in range(20):
+            todo = np.flatnonzero(~found)
+            if todo.size == 0:
                 break
-    return best_t
+            cand, ok = _clamp_renorm(t[todo] + alpha * direction[todo])
+            rc = residuals(cand[ok], x[todo][ok])
+            ok[ok] = np.sum(rc * rc, axis=1) < g_now[todo][ok]
+            t_new[todo[ok]] = cand[ok]
+            found[todo[ok]] = True
+            alpha *= 0.5
+        # a row without a new iterate, or with no move, is at a fixed point
+        # (typically a clamped boundary minimum)
+        moved = found & (np.max(np.abs(t_new - t), axis=1) > 1e-15)
+        active, t_new = active[moved], t_new[moved]
+        T[active] = t_new
+        R[active] = residuals(t_new, X[active])
+        g = np.sum(R[active] ** 2, axis=1)
+        better = g < best_g[active]
+        best_T[active[better]] = t_new[better]
+        best_g[active[better]] = g[better]
+        stalled[active[better]] = 0
+        stalled[active[~better]] += 1
+        active = active[stalled[active] < 5]
+    return best_T
 
 
 def solve_control_points(X, T, model: BezierSimplex, free) -> BezierSimplex:
@@ -285,7 +315,7 @@ def _alternate(model, X, cfg, free):
     trace = [sse(model, X, T)]
     iterations = 0
     for _ in range(cfg.max_outer_iters):
-        T = np.vstack([project_parameter(model, x, t, cfg) for x, t in zip(X, T)])
+        T = project_parameter(model, X, T, cfg)
         model = solve_control_points(X, T, model, free)
         current = sse(model, X, T)
         previous = trace[-1]

@@ -11,6 +11,7 @@ from bsf.bezier import (
     face_indices,
     multi_indices,
     multinomial,
+    partial_derivatives,
     weighted_design_matrix,
 )
 from bsf.errors import (
@@ -269,6 +270,25 @@ def test_hessian_matches_finite_differences_of_gradient():
         fd[:, :, j] = (naive_gradient(model, tp) - naive_gradient(model, tm)) / (2 * h)
     hess = model.hessian(t)
     assert np.linalg.norm((hess - fd).ravel()) / np.linalg.norm(hess.ravel()) <= 1e-4
+
+
+
+def test_degree_zero_derivatives_are_zero():
+    model = BezierSimplex(3, 0, [[1.0, -2.0]])
+    t = [0.2, 0.3, 0.5]
+    g, h = model.gradient(t), model.hessian(t)
+    assert g.shape == (2, 3) and h.shape == (2, 3, 3)
+    assert not g.any() and not h.any()
+
+
+def test_partial_derivatives_m1():
+    # b(t) = t^3 * 2.5 with t treated as free: 3 t^2 p and 6 t p at t = 1
+    points = np.array([[2.5, -1.0]])
+    T = np.array([[1.0], [1.0]])
+    for order, scale in [(0, 1.0), (1, 3.0), (2, 6.0), (3, 6.0), (4, 0.0)]:
+        out = partial_derivatives(1, 3, points, T, order)
+        assert out.shape == (2, 2) + (1,) * order
+        np.testing.assert_allclose(out.reshape(2, 2), scale * np.tile(points, (2, 1)))
 
 
 # -- faces ------------------------------------------------------------------------

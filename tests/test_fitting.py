@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bsf.bezier import BezierSimplex, embed_on_face, face_indices, multi_indices
+from bsf.bezier import BezierSimplex, embed_on_face, face_indices, multi_indices, multinomial
 from bsf.errors import DimensionError, InsufficientDataError
 from bsf.fitting import (
     FitConfig,
@@ -123,6 +124,137 @@ def test_project_m1_is_trivial():
     model = BezierSimplex(1, 3, np.array([[2.5]]))
     t = project_parameter(model, np.array([1.0]), [1.0], FitConfig())
     np.testing.assert_array_equal(t, [1.0])
+
+
+def test_project_m1_batch_is_trivial():
+    model = BezierSimplex(1, 3, np.array([[2.5, 1.0]]))
+    T = project_parameter(model, np.array([[1.0, 0.0], [3.0, 2.0]]), [[1.0], [1.0]], FitConfig())
+    np.testing.assert_array_equal(T, [[1.0], [1.0]])
+
+
+def test_project_rejects_count_mismatch():
+    model = perturbed_net(3, 3, np.eye(3), 0.1, seed=9)
+    with pytest.raises(DimensionError):
+        project_parameter(model, np.zeros((2, 3)), np.full((3, 3), 1 / 3), FitConfig())
+
+
+def _reference_value_jac_hess(model, t):
+    """Value, Jacobian and Hessian from per-monomial exponent tables."""
+    idx = np.array(model.indices).reshape(-1, model.m)
+    w = np.array([multinomial(model.degree, tuple(d)) for d in idx], dtype=float)
+    eye = np.eye(model.m, dtype=int)
+    grad_exp = np.maximum(idx[None] - eye[:, None], 0)  # (m, K, m)
+    hess_exp = np.maximum(idx[None, None] - eye[:, None, None] - eye[None, :, None], 0)
+    grad_coef = w * idx.T  # (m, K): w_k d_kj
+    hess_coef = w * idx.T[:, None, :] * (idx.T[None] - eye[:, :, None])
+    b = (w * np.prod(t ** idx, axis=-1)) @ model.points
+    jac = ((grad_coef * np.prod(t ** grad_exp, axis=-1)) @ model.points).T
+    hess = np.einsum("ijk,ka->aij", hess_coef * np.prod(t ** hess_exp, axis=-1), model.points)
+    return b, jac, hess
+
+
+def scalar_project_reference(model, x, t0, cfg):
+    """The per-point Newton loop that the batched projection replaced."""
+    t = np.asarray(t0, dtype=float)
+    if model.m == 1:
+        return t
+
+    def clamp_renorm(tv):
+        tv = np.maximum(tv, 0.0)
+        s = tv.sum()
+        return None if s <= 0.0 else tv / s
+
+    def squared_distance(tv):
+        r = _reference_value_jac_hess(model, tv)[0] - x
+        return float(r @ r)
+
+    best_t, best_g = t, squared_distance(t)
+    stalled = 0
+    for _ in range(cfg.max_newton_iters):
+        b, jac, hess = _reference_value_jac_hess(model, t)
+        r = b - x
+        resid = jac.T @ r
+        if math.sqrt(float(resid @ resid)) <= cfg.newton_tol:
+            break
+        g_now = float(r @ r)
+        grad = 2.0 * resid
+        hg = 2.0 * (jac.T @ jac + np.tensordot(r, hess, axes=(0, 0)))
+        gu = grad[:-1] - grad[-1]
+        hu = hg[:-1, :-1] - hg[:-1, -1:] - hg[-1:, :-1] + hg[-1, -1]
+        t_new = None
+        try:
+            step = np.linalg.solve(hu, -gu)
+            if np.all(np.isfinite(step)):
+                t_new = clamp_renorm(t + np.append(step, -step.sum()))
+        except np.linalg.LinAlgError:
+            t_new = None
+        if t_new is None:
+            direction = np.append(-gu, gu.sum())
+            alpha = 1.0
+            for _ in range(20):
+                cand = clamp_renorm(t + alpha * direction)
+                if cand is not None and squared_distance(cand) < g_now:
+                    t_new = cand
+                    break
+                alpha *= 0.5
+        if t_new is None or np.max(np.abs(t_new - t)) <= 1e-15:
+            break
+        t = t_new
+        g = squared_distance(t)
+        if g < best_g:
+            best_t, best_g = t, g
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= 5:
+                break
+    return best_t
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5), st.integers(2, 4), st.integers(1, 5), st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_project_batch_matches_scalar_reference(m, degree, ambient, n, seed):
+    rng = np.random.default_rng(seed)
+    model = BezierSimplex(
+        m, degree, rng.normal(size=(len(multi_indices(m, degree)), ambient))
+    )
+    X = rng.normal(size=(n, ambient))
+    T0 = rng.dirichlet(np.ones(m), size=n)
+    cfg = FitConfig(degree=degree)
+    T = project_parameter(model, X, T0, cfg)
+    assert T.shape == (n, m)
+    ref = np.vstack([scalar_project_reference(model, x, t0, cfg) for x, t0 in zip(X, T0)])
+    assert np.max(np.abs(T - ref)) <= 1e-6
+    i = int(rng.integers(n))
+    single = project_parameter(model, X[i], T0[i], cfg)
+    assert single.shape == (m,)
+    assert np.max(np.abs(single - T[i])) <= 1e-6
+
+
+def test_project_mixed_singular_and_regular_rows():
+    # b(t) = t_1^2. At t = (1/2, 1/2) the reduced Newton matrix of row 0 is
+    # exactly zero, so the stacked solve fails; row 1's stays regular and must
+    # keep its Newton step rather than take the gradient fallback.
+    model = BezierSimplex(2, 2, [[1.0], [0.0], [0.0]])
+    X = np.array([[0.75], [0.2]])
+    T0 = np.array([[0.5, 0.5]] * 2)
+    cfg = FitConfig(degree=2, newton_tol=1e-10)
+    T = project_parameter(model, X, T0, cfg)
+    np.testing.assert_allclose(T[:, 0], np.sqrt([0.75, 0.2]), atol=1e-6)
+    for i in range(2):
+        single = project_parameter(model, X[i], T0[i], cfg)
+        assert np.max(np.abs(single - T[i])) <= 1e-6
+    # after two iterations the Newton and fallback paths of row 1 are far apart
+    capped = FitConfig(degree=2, max_newton_iters=2)
+    T = project_parameter(model, X, T0, capped)
+    single = project_parameter(model, X[1], T0[1], capped)
+    assert np.max(np.abs(single - T[1])) <= 1e-12
+    np.testing.assert_allclose(
+        single, scalar_project_reference(model, X[1], T0[1], capped), atol=1e-12
+    )
 
 
 # -- init_parameters -------------------------------------------------------------------
