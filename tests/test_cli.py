@@ -215,6 +215,38 @@ def test_evaluate_matches_library_fixture(tmp_path, capsys):
     assert (gd_val, igd_val) == expected
 
 
+def parse_scores(text):
+    return float(text.split("GD=")[1].split()[0]), float(text.split("IGD=")[1].split()[0])
+
+
+def test_evaluate_normalized_bezier_equals_harness_score(tmp_path, capsys):
+    from bsf.harness import score
+    from bsf.pareto import load_sample
+
+    data, true = write_synthetic_training(tmp_path)
+    model_path = tmp_path / "model.json"
+    true.save(model_path)
+    val = data / "validation.csv"
+    assert run_cli("evaluate", "--model", model_path, "--validation", val, "--resolution", "9") == 0
+    expected = score(grid_sample(true, 9).objectives, load_sample(val).objectives, True)
+    assert parse_scores(capsys.readouterr().out) == expected
+
+
+def test_evaluate_normalized_response_surface_equals_harness_score(tmp_path, capsys):
+    from bsf.harness import score
+    from bsf.pareto import load_sample
+    from bsf.response_surface import ResponseSurface
+
+    data, _ = write_synthetic_training(tmp_path)
+    path = tmp_path / "surface.json"
+    assert run_cli("fit", "--method", "response-surface", "--data", data, "--out", path) == 0
+    val = data / "validation.csv"
+    assert run_cli("evaluate", "--model", path, "--validation", val, "--resolution", "7") == 0
+    surface = ResponseSurface.load(path)
+    expected = score(surface.sample_grid(7).objectives, load_sample(val).objectives, True)
+    assert parse_scores(capsys.readouterr().out.splitlines()[-1]) == expected
+
+
 # -- experiment ---------------------------------------------------------------------
 
 

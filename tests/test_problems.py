@@ -206,3 +206,47 @@ def test_file_problem_split(tmp_path):
     assert validation.n == 20
     taken = {tuple(r) for S in training.values() for r in S.objectives}
     assert all(tuple(r) not in taken for r in validation.objectives)
+
+
+# -- golden splits: exact rows, so a refactor of the split loop is checked bit for bit
+
+
+def test_pool_split_golden_rows():
+    p = get_problem("constrex")
+    training, validation = make_training_set(
+        p, (1, 3), seed=6, validation_size=5, with_solutions=True, pool_seed=6
+    )
+    X, F = feasible_pool(p, seed=6)
+    expected = {(0,): [30501], (1,): [5004], (0, 1): [42762, 49900, 52040]}
+    assert list(training) == list(expected)
+    for face, rows in expected.items():
+        np.testing.assert_array_equal(training[face].objectives, F[rows])
+        np.testing.assert_array_equal(training[face].solutions, X[rows])
+    rows = [98209, 43553, 63496, 35485, 35397]
+    np.testing.assert_array_equal(validation.objectives, F[rows])
+    np.testing.assert_array_equal(validation.solutions, X[rows])
+
+
+def test_file_split_golden_rows():
+    rng = np.random.default_rng(9)
+    X = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), size=57)])
+    F = get_problem("med3").objectives(X)
+    # ten dominated copies, which only the validation draw can take
+    F = np.vstack([F, F[3:13] + 0.25])
+    X = np.vstack([X, X[3:13]])
+    sample = SampleSet(F, X)
+    training, validation = make_training_set(
+        FileProblem("golden", sample), (1, 2, 1), seed=8, validation_size=12
+    )
+    expected = {
+        (0,): [0], (1,): [1], (2,): [2],
+        (0, 1): [24, 37], (0, 2): [12, 50], (1, 2): [32, 51],
+        (0, 1, 2): [53],
+    }
+    assert list(training) == list(expected)
+    for face, rows in expected.items():
+        np.testing.assert_array_equal(training[face].objectives, F[rows])
+        np.testing.assert_array_equal(training[face].solutions, X[rows])
+    rows = [5, 8, 18, 23, 25, 27, 33, 35, 36, 63, 64, 66]
+    np.testing.assert_array_equal(validation.objectives, F[rows])
+    np.testing.assert_array_equal(validation.solutions, X[rows])
