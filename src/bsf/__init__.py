@@ -22,7 +22,7 @@ from .pareto import (
     subsample,
 )
 from .problems import get_problem, generate_front_sample, make_training_set
-from .response_surface import fit_response_surface, sample_response_surface
+from .response_surface import fit_response_surface
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "multinomial",
     "nondominated_filter",
     "project_parameter",
-    "sample_response_surface",
     "save_sample",
     "skeleton_decompose",
     "solve_control_points",

@@ -11,6 +11,7 @@ import json
 import logging
 import math
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -27,27 +28,22 @@ from .errors import (
     InvalidIndexError,
     ParseError,
 )
-from .fitting import (
-    FitConfig,
-    fit_all_at_once,
-    fit_inductive_skeleton,
-    init_parameters,
-    project_parameter,
-    sse,
-)
+from .fitting import FitConfig, init_parameters, project_parameter, sse
 from .harness import (
     ExperimentConfig,
+    fit_method,
     read_rows,
     run_experiment,
     run_sweep,
+    score,
+    surface_points,
     vertex_optima_from,
     write_rows,
     write_summary,
 )
-from .metrics import gd_igd, grid_sample
 from .pareto import SampleSet, load_sample, save_sample
 from .problems import get_problem, make_training_set
-from .response_surface import ResponseSurface, fit_response_surface
+from .response_surface import ResponseSurface
 
 log = logging.getLogger("bsf.cli")
 
@@ -72,6 +68,16 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     if not sizes:
         raise argparse.ArgumentTypeError("sizes must not be empty")
     return sizes
+
+
+def _parse_n3_range(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"the N3 range must look like 1:10 (got {text!r})")
+    if not 0 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"the N3 range lo:hi needs 0 <= lo <= hi (got {text!r})")
+    return lo, hi
 
 
 def _face_label(face) -> str:
@@ -118,7 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--graph", action="store_true")
     p.add_argument("--no-normalize", dest="normalize", action="store_false")
-    p.add_argument("--sweep-n3", help="e.g. 1:10 to sweep the three-objective subsample size")
+    p.add_argument(
+        "--sweep-n3", type=_parse_n3_range,
+        help="e.g. 1:10 to sweep the three-objective subsample size",
+    )
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("plot", help="SVG scatter panels or GD/IGD boxplots")
@@ -181,15 +190,8 @@ def load_training_dir(data_dir):
 
 def cmd_fit(args) -> int:
     training, _, manifest = load_training_dir(args.data)
-    m = manifest["M"]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if args.method == "response-surface":
-        union = SampleSet.concat(training.values())
-        surface = fit_response_surface(union)
-        surface.save(out)
-        print(f"fitted response surface with {len(surface.coefficients)} coefficients")
-        return 0
     cfg = FitConfig(
         degree=args.degree,
         max_outer_iters=args.max_iters,
@@ -197,19 +199,20 @@ def cmd_fit(args) -> int:
         newton_tol=args.newton_tol,
         outer_tol=args.outer_tol,
     )
-    vertices = vertex_optima_from(training, m)
-    union = SampleSet.concat(training.values())
-    if args.method == "inductive":
-        result = fit_inductive_skeleton(training, vertices, cfg)
-    else:
-        result = fit_all_at_once(union, vertices, cfg)
-    result.model.save(out)
+    vertices = None
+    if args.method != "response-surface":
+        vertices = vertex_optima_from(training, manifest["M"])
+    model, result = fit_method(args.method, training, vertices, cfg)
+    model.save(out)
+    if result is None:
+        print(f"fitted response surface with {len(model.coefficients)} coefficients")
+        return 0
     sidecar = out.with_suffix(out.suffix + ".fit.json") if out.suffix != ".json" else out.with_name(out.stem + ".fit.json")
     sidecar.write_text(json.dumps(result.sidecar_dict(), indent=2) + "\n")
-    X = union.ambient()
-    T0 = init_parameters(result.model, X, cfg)
-    T = project_parameter(result.model, X, T0, cfg)
-    final = math.sqrt(sse(result.model, X, T)) / X.shape[0]
+    X = SampleSet.concat(training.values()).ambient()
+    T0 = init_parameters(model, X, cfg)
+    T = project_parameter(model, X, T0, cfg)
+    final = math.sqrt(sse(model, X, T)) / X.shape[0]
     print(
         f"method={args.method} outer_iterations={result.outer_iterations} "
         f"sqrt_sse_per_point={final:.6e}"
@@ -229,12 +232,6 @@ def _load_model_file(path):
     raise ParseError(f"{path}: not a recognized model file")
 
 
-def _model_points(model, resolution: int) -> np.ndarray:
-    if isinstance(model, BezierSimplex):
-        return grid_sample(model, resolution).objectives
-    return model.sample_grid(resolution).objectives
-
-
 def _validation_points(model, validation: SampleSet) -> np.ndarray:
     ambient = model.ambient if isinstance(model, BezierSimplex) else model.m
     if ambient == validation.m:
@@ -251,15 +248,8 @@ def _validation_points(model, validation: SampleSet) -> np.ndarray:
 def cmd_evaluate(args) -> int:
     model = _load_model_file(args.model)
     validation = load_sample(args.validation)
-    points = _model_points(model, args.resolution)
-    val_points = _validation_points(model, validation)
-    if args.normalize:
-        lo = val_points.min(axis=0)
-        hi = val_points.max(axis=0)
-        span = np.where(hi > lo, hi - lo, 1.0)
-        points = (points - lo) / span
-        val_points = (val_points - lo) / span
-    gd_val, igd_val = gd_igd(points, val_points)
+    points = surface_points(model, args.resolution)
+    gd_val, igd_val = score(points, _validation_points(model, validation), args.normalize)
     print(f"GD={gd_val!r} IGD={igd_val!r}")
     if args.out:
         Path(args.out).write_text(f"gd,igd\n{gd_val!r},{igd_val!r}\n")
@@ -286,7 +276,7 @@ def cmd_experiment(args) -> int:
         jobs=args.jobs,
     )
     if args.sweep_n3:
-        lo, hi = (int(v) for v in args.sweep_n3.split(":"))
+        lo, hi = args.sweep_n3
         rows = run_sweep(cfg, range(lo, hi + 1))
     else:
         rows = run_experiment(cfg)
@@ -306,16 +296,28 @@ def cmd_experiment(args) -> int:
     if "u_tests" in summary:
         for metric, rec in summary["u_tests"].items():
             print(f"U test {metric} ({rec['alternative']}): U={rec['u']} p={rec['p']:.4g}")
+    if args.sweep_n3:
+        _print_sweep_medians(rows, methods)
     if all(entry.get("trials", 0) == 0 for entry in summary["methods"].values()):
         return 1
     return 0
+
+
+def _print_sweep_medians(rows, methods) -> None:
+    """Median IGD per method and N3, the sample-size study's headline."""
+    for method in methods:
+        for n3 in sorted({r.sizes[2] for r in rows}):
+            igds = [r.igd for r in rows if r.method == method and r.sizes[2] == n3 and r.error is None]
+            median = f"{statistics.median(igds):.4e}" if igds else "n/a"
+            print(f"{method} N3={n3:2d}: median IGD {median} ({len(igds)} trials)")
 
 
 # -- plot -------------------------------------------------------------------------
 
 
 def _classify_input(path: Path) -> str:
-    head = path.open().read(4096)
+    with path.open() as fh:
+        head = fh.read(4096)
     if head.lstrip().startswith("{"):
         return "model"
     first = head.splitlines()[0] if head else ""
@@ -337,7 +339,7 @@ def cmd_plot(args) -> int:
         kind = _classify_input(path)
         if kind == "model":
             model = _load_model_file(path)
-            series.append((f"model:{path.stem}", _model_points(model, args.resolution)))
+            series.append((f"model:{path.stem}", surface_points(model, args.resolution)))
         elif kind == "sample":
             series.append((path.stem, load_sample(path).objectives))
         else:

@@ -24,9 +24,9 @@ from .errors import BsfError
 from .fitting import FitConfig, fit_all_at_once, fit_inductive_skeleton
 from .mannwhitney import mann_whitney_u
 from .metrics import gd_igd, grid_sample
-from .pareto import SampleSet
+from .pareto import SampleSet, normalizer_from
 from .problems import get_problem, make_training_set
-from .response_surface import fit_response_surface
+from .response_surface import ResponseSurface, fit_response_surface
 
 log = logging.getLogger("bsf.harness")
 
@@ -50,6 +50,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; valid: {', '.join(METHODS)}")
@@ -83,25 +85,28 @@ def vertex_optima_from(training: dict, m: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def normalizer_from(points: np.ndarray):
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    return lo, span
+def fit_method(method, training, vertices, fit_cfg: FitConfig):
+    """Fit one method to per-face training data; returns (model, FitResult).
 
-
-def fit_and_sample(method, training, vertices, cfg: ExperimentConfig):
-    """Fit one method and return (surface sample points, outer iterations)."""
-    fit_cfg = FitConfig(degree=cfg.degree)
+    The Bezier fitters start from the corner points `vertices`; the response
+    surface needs none and has no FitResult, so it gives None for both.
+    """
     if method == "inductive":
         result = fit_inductive_skeleton(training, vertices, fit_cfg)
-        return grid_sample(result.model, cfg.resolution).objectives, result.outer_iterations
+        return result.model, result
     union = SampleSet.concat(training.values())
     if method == "all-at-once":
         result = fit_all_at_once(union, vertices, fit_cfg)
-        return grid_sample(result.model, cfg.resolution).objectives, result.outer_iterations
-    surface = fit_response_surface(union)
-    return surface.sample_grid(cfg.resolution).objectives, None
+        return result.model, result
+    return fit_response_surface(union), None
+
+
+def surface_points(model, resolution: int) -> np.ndarray:
+    """Grid sample of a fitted model: barycentric for a Bezier simplex, the
+    (resolution + 1)^(M-1) box for a response surface."""
+    if isinstance(model, ResponseSurface):
+        return model.sample_grid(resolution).objectives
+    return grid_sample(model, resolution).objectives
 
 
 def score(sample_points: np.ndarray, validation_points: np.ndarray, normalize: bool):
@@ -134,8 +139,10 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialRow]:
     rows = []
     for method in cfg.methods:
         try:
-            points, iterations = fit_and_sample(method, training, vertices, cfg)
+            model, result = fit_method(method, training, vertices, FitConfig(degree=cfg.degree))
+            points = surface_points(model, cfg.resolution)
             gd_val, igd_val = score(points, val_points, cfg.normalize)
+            iterations = None if result is None else result.outer_iterations
             rows.append(TrialRow(cfg.problem, method, cfg.sizes, trial, gd_val, igd_val, iterations))
         except Exception as exc:  # recorded per row; the caller decides severity
             log.warning("trial %d method %s failed: %s", trial, method, exc)

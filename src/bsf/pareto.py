@@ -24,7 +24,6 @@ class SampleSet:
 
     objectives: np.ndarray = field(repr=False)
     solutions: np.ndarray | None = field(default=None, repr=False)
-    tags: tuple[str, ...] | None = None
 
     def __post_init__(self):
         obj = np.atleast_2d(np.array(self.objectives, dtype=float, copy=True))
@@ -42,8 +41,6 @@ class SampleSet:
                 raise DimensionError("solutions must be finite")
             sol.setflags(write=False)
             object.__setattr__(self, "solutions", sol)
-        if self.tags is not None and len(self.tags) != obj.shape[0]:
-            raise DimensionError("tags and objectives disagree in point count")
 
     @property
     def n(self) -> int:
@@ -72,7 +69,6 @@ class SampleSet:
         return SampleSet(
             self.objectives[rows],
             None if self.solutions is None else self.solutions[rows],
-            None if self.tags is None else tuple(self.tags[i] for i in rows),
         )
 
     @staticmethod
@@ -89,6 +85,15 @@ class SampleSet:
         if sets[0].solutions is not None:
             sol = np.vstack([s.solutions for s in sets])
         return SampleSet(obj, sol)
+
+
+def normalizer_from(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate (lo, span) of a min-max normalisation, (p - lo) / span;
+    a coordinate with no range gets span 1."""
+    lo = points.min(axis=0)
+    hi = points.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    return lo, span
 
 
 def dominates(x, y) -> bool:

@@ -10,6 +10,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .pareto import normalizer_from
+
 PANEL = 220
 MARGIN = 40
 PALETTE = ("#444444", "#d62728", "#1f77b4", "#2ca02c", "#9467bd")
@@ -52,10 +54,7 @@ def scatter_svg(series: list[tuple[str, np.ndarray]], per_row: int = 3) -> str:
     for k, (i, j) in enumerate(pairs):
         ox = MARGIN + (k % n_cols) * (PANEL + MARGIN)
         oy = MARGIN + (k // n_cols) * (PANEL + MARGIN)
-        cols = stacked[:, [i, j]]
-        lo = cols.min(axis=0)
-        hi = cols.max(axis=0)
-        span = np.where(hi > lo, hi - lo, 1.0)
+        lo, span = normalizer_from(stacked[:, [i, j]])
         pad = 0.05 * span
         lo, span = lo - pad, span + 2 * pad
         out.append(f'<g class="panel" data-pair="f{i + 1}-f{j + 1}">')

@@ -34,7 +34,6 @@ from .pareto import (
     load_sample,
     nondominated_mask,
     save_sample,
-    subsample,
 )
 
 log = logging.getLogger("bsf.problems")
@@ -302,9 +301,9 @@ def feasible_pool(problem: ProblemDef, size: int = POOL_SIZE, seed: int = 0):
     return _POOL_CACHE[key]
 
 
-def _pool_face_front(F: np.ndarray, face, cache_key=None) -> np.ndarray:
-    """Pool indices whose projection onto `face` is non-dominated; memoized
-    per pool so repeated trials reuse the scan."""
+def _face_front(F: np.ndarray, face, cache_key=None) -> np.ndarray:
+    """Row indices of F whose projection onto `face` is non-dominated; with a
+    cache key (one per pool) memoized so repeated trials reuse the scan."""
     if cache_key is not None:
         key = cache_key + (tuple(face),)
         if key not in _FRONT_CACHE:
@@ -366,7 +365,7 @@ def generate_front_sample(
             parts.append(_analytic_face_sample(problem, full, remaining, rng, with_solutions))
     elif remaining > 0:
         X, F = feasible_pool(problem, seed=pool_seed)
-        front = _pool_face_front(F, full, cache_key=(problem.name, POOL_SIZE, pool_seed))
+        front = _face_front(F, full, cache_key=(problem.name, POOL_SIZE, pool_seed))
         if include_endpoints:
             endpoints = {int(np.argmin(F[:, j])) for j in range(m)}
             front = np.array([i for i in front if i not in endpoints], dtype=int)
@@ -405,52 +404,49 @@ def make_training_set(
     subsamples are pairwise disjoint and disjoint from the validation set.
     """
     if isinstance(problem, FileProblem):
-        return _training_from_sample(problem.sample, sizes, seed, validation_size)
+        return _training_from_sample(problem, sizes, seed, validation_size)
     if any(s < 0 for s in sizes) or not sizes or sizes[0] < 1:
         raise InsufficientFrontError("sizes must start with at least one vertex point")
     m = problem.n_objectives
-    depth = min(len(sizes), m)
     rng = np.random.default_rng(seed)
     if problem.pareto_mode == "analytic":
         training = {}
-        for face in enumerate_faces(m, depth):
+        for face in enumerate_faces(m, min(len(sizes), m)):
             n_face = sizes[len(face) - 1]
             if n_face == 0:
                 continue
-            if len(face) == 1:
-                if n_face != 1:
-                    raise InsufficientFrontError(
-                        f"{problem.name}: a single-objective front is one point; "
-                        f"cannot draw {n_face} distinct vertex samples"
-                    )
-                training[face] = _analytic_face_sample(problem, face, 1, rng, with_solutions)
-            else:
-                training[face] = _analytic_face_sample(
-                    problem, face, n_face, rng, with_solutions
+            if len(face) == 1 and n_face != 1:
+                raise InsufficientFrontError(
+                    f"{problem.name}: a single-objective front is one point; "
+                    f"cannot draw {n_face} distinct vertex samples"
                 )
+            training[face] = _analytic_face_sample(problem, face, n_face, rng, with_solutions)
         validation = _analytic_face_sample(
             problem, tuple(range(m)), validation_size, rng, with_solutions
         )
         return training, validation
-    return _training_from_pool(
-        problem, sizes, depth, rng, validation_size, with_solutions, pool_seed
-    )
+    return _training_from_pool(problem, sizes, rng, validation_size, with_solutions, pool_seed)
 
 
-def _training_from_pool(problem, sizes, depth, rng, validation_size, with_solutions, pool_seed):
-    X, F = feasible_pool(problem, seed=pool_seed)
-    cache_key = (problem.name, POOL_SIZE, pool_seed)
+def _skeleton_picks(name, F: np.ndarray, sizes, rng, cache_key=None):
+    """Disjoint per-face row picks from the objective rows F.
+
+    Each face of size k takes sizes[k-1] rows of its projected front that no
+    earlier face took: a vertex the rows lowest in its objective (stable
+    sort), a larger face a seeded draw. Returns (mapping face -> rows,
+    boolean mask of the rows taken).
+    """
     used = np.zeros(F.shape[0], dtype=bool)
-    training = {}
-    for face in enumerate_faces(problem.n_objectives, depth):
+    picks = {}
+    for face in enumerate_faces(F.shape[1], min(len(sizes), F.shape[1])):
         n_face = sizes[len(face) - 1]
         if n_face == 0:
             continue
-        front = _pool_face_front(F, face, cache_key=cache_key)
+        front = _face_front(F, face, cache_key=cache_key)
         candidates = front[~used[front]]
         if candidates.size < n_face:
             raise InsufficientFrontError(
-                f"{problem.name}: face {face} front has only {candidates.size} unused points, "
+                f"{name}: face {face} front has only {candidates.size} unused points, "
                 f"need {n_face}"
             )
         if len(face) == 1:
@@ -459,8 +455,19 @@ def _training_from_pool(problem, sizes, depth, rng, validation_size, with_soluti
         else:
             pick = rng.choice(candidates, size=n_face, replace=False)
         used[pick] = True
-        training[face] = SampleSet(F[pick], X[pick] if with_solutions else None)
-    front = _pool_face_front(F, tuple(range(problem.n_objectives)), cache_key=cache_key)
+        picks[face] = pick
+    return picks, used
+
+
+def _training_from_pool(problem, sizes, rng, validation_size, with_solutions, pool_seed):
+    X, F = feasible_pool(problem, seed=pool_seed)
+    cache_key = (problem.name, POOL_SIZE, pool_seed)
+    picks, used = _skeleton_picks(problem.name, F, sizes, rng, cache_key)
+    training = {
+        face: SampleSet(F[pick], X[pick] if with_solutions else None)
+        for face, pick in picks.items()
+    }
+    front = _face_front(F, tuple(range(problem.n_objectives)), cache_key=cache_key)
     candidates = front[~used[front]]
     if candidates.size == 0:
         raise InsufficientFrontError(f"{problem.name}: no validation points left")
@@ -470,31 +477,12 @@ def _training_from_pool(problem, sizes, depth, rng, validation_size, with_soluti
     return training, validation
 
 
-def _training_from_sample(sample: SampleSet, sizes, seed, validation_size):
+def _training_from_sample(problem: FileProblem, sizes, seed, validation_size):
     """Skeleton split of an externally supplied front sample."""
-    m = sample.m
-    depth = min(len(sizes), m)
+    sample = problem.sample
     rng = np.random.default_rng(seed)
-    used = np.zeros(sample.n, dtype=bool)
-    training = {}
-    for face in enumerate_faces(m, depth):
-        n_face = sizes[len(face) - 1]
-        if n_face == 0:
-            continue
-        front = np.flatnonzero(nondominated_mask(sample.objectives[:, list(face)]))
-        candidates = front[~used[front]]
-        if candidates.size < n_face:
-            raise InsufficientFrontError(
-                f"face {face}: sample front has only {candidates.size} unused points, "
-                f"need {n_face}"
-            )
-        if len(face) == 1:
-            order = np.argsort(sample.objectives[candidates, face[0]], kind="stable")
-            pick = candidates[order[:n_face]]
-        else:
-            pick = rng.choice(candidates, size=n_face, replace=False)
-        used[pick] = True
-        training[face] = sample.take(pick)
+    picks, used = _skeleton_picks(problem.name, sample.objectives, sizes, rng)
+    training = {face: sample.take(pick) for face, pick in picks.items()}
     rest = np.flatnonzero(~used)
     if rest.size == 0:
         raise InsufficientFrontError("no points left for validation")

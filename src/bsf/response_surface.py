@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError
-from .pareto import SampleSet
+from .pareto import SampleSet, normalizer_from
 
 
 def cubic_basis_exponents(n_inputs: int) -> tuple[tuple[int, ...], ...]:
@@ -103,16 +103,10 @@ def fit_response_surface(S: SampleSet) -> ResponseSurface:
     """
     if S.m < 2:
         raise DimensionError("response surface needs at least two objectives")
-    F = S.objectives
-    lo = F.min(axis=0)
-    hi = F.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    normalized = (F - lo) / span
+    lo, span = normalizer_from(S.objectives)
+    normalized = (S.objectives - lo) / span
     U, y = normalized[:, :-1], normalized[:, -1]
     exponents = cubic_basis_exponents(S.m - 1)
     coef, *_ = np.linalg.lstsq(_design(U, exponents), y, rcond=None)
     return ResponseSurface(S.m, exponents, coef, lo, span)
 
-
-def sample_response_surface(surface: ResponseSurface, resolution: int) -> SampleSet:
-    return surface.sample_grid(resolution)

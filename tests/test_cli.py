@@ -1,10 +1,14 @@
 import json
+import re
+import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from bsf.bezier import BezierSimplex, embed_on_face
-from bsf.cli import main
+from bsf.cli import build_parser, main
 from bsf.fitting import initialize_control_net
 from bsf.metrics import grid_sample
 from bsf.pareto import SampleSet, save_sample
@@ -308,17 +312,32 @@ def test_plot_model_with_validation_overlay(tmp_path):
     assert out.read_text().count('<g class="panel"') == 3
 
 
-def test_plot_metrics_boxplots(tmp_path):
+def test_plot_metrics_boxplots(tmp_path, capsys):
     out_dir = tmp_path / "exp"
     assert run_cli(
         "experiment", "--problem", "med3", "--method", "inductive",
         "--sizes", "1,2,1", "--trials", "2", "--seed", "0", "--validation", "60",
         "--sweep-n3", "1:3", "--out", out_dir,
     ) == 0
+    printed = capsys.readouterr().out
+    assert [line.split(":")[0] for line in printed.splitlines() if "median IGD" in line] == [
+        "inductive N3= 1", "inductive N3= 2", "inductive N3= 3",
+    ]
     fig = tmp_path / "box.svg"
     assert run_cli("plot", out_dir / "results.csv", "--out", fig) == 0
     svg = fig.read_text()
     assert svg.count('<g class="boxpanel"') == 2
+
+
+def test_plot_metrics_closes_its_input(tmp_path):
+    from bsf.harness import TrialRow, write_rows
+
+    metrics = tmp_path / "results.csv"
+    write_rows([TrialRow("med3", "inductive", (1, 2, n3), 0, 0.1 * n3, 0.2, 3) for n3 in (1, 2)], metrics)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run_cli("plot", metrics, "--out", tmp_path / "box.svg") == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_plot_byte_stable(tmp_path):
@@ -362,6 +381,44 @@ def test_experiment_graph_with_response_surface_is_usage_error(tmp_path, capsys)
         "--graph", "--trials", "1", "--out", tmp_path / "x",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("text, message", [("5:1", "0 <= lo <= hi"), ("10", "look like 1:10")])
+def test_experiment_bad_sweep_range_is_usage_error(tmp_path, capsys, text, message):
+    code = run_cli(
+        "experiment", "--problem", "med3", "--method", "inductive", "--trials", "1",
+        "--sweep-n3", text, "--out", tmp_path / "x",
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_experiment_rejects_zero_jobs(tmp_path, capsys):
+    code = run_cli(
+        "experiment", "--problem", "med3", "--method", "inductive", "--trials", "1",
+        "--jobs", "0", "--out", tmp_path / "x",
+    )
+    assert code == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    """Every `bsf ...` line in the README's sh blocks parses; none is run."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words and words[0] == "bsf":
+                commands.append(words[1:])
+    assert {argv[0] for argv in commands} == {"generate", "fit", "evaluate", "experiment", "plot"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail("README command does not parse: bsf " + " ".join(argv))
 
 
 def test_log_env_var_sets_level(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,6 @@ from bsf.response_surface import (
     ResponseSurface,
     cubic_basis_exponents,
     fit_response_surface,
-    sample_response_surface,
 )
 
 
@@ -57,7 +56,7 @@ def test_sample_grid_counts(m, r, count):
     rng = np.random.default_rng(2)
     S = SampleSet(rng.uniform(size=(30, m)))
     surface = fit_response_surface(S)
-    assert sample_response_surface(surface, r).n == count
+    assert surface.sample_grid(r).n == count
 
 
 def test_constant_surface_sampling():
@@ -65,7 +64,7 @@ def test_constant_surface_sampling():
     U = rng.uniform(size=(25, 2))
     S = SampleSet(np.column_stack([U, np.full(25, 7.0)]))
     surface = fit_response_surface(S)
-    out = sample_response_surface(surface, 5)
+    out = surface.sample_grid(5)
     np.testing.assert_allclose(out.objectives[:, 2], 7.0, atol=1e-8)
 
 
@@ -108,5 +107,5 @@ def test_degenerate_range_does_not_divide_by_zero():
     S = SampleSet([[1.0, 5.0, 2.0], [2.0, 5.0, 3.0], [3.0, 5.0, 1.0]])
     surface = fit_response_surface(S)
     assert np.all(surface.span > 0)
-    out = sample_response_surface(surface, 4)
+    out = surface.sample_grid(4)
     assert np.all(np.isfinite(out.objectives))
