@@ -50,6 +50,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.degree < 0:
+            raise ValueError("degree must be nonnegative")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -166,6 +168,9 @@ def run_sweep(cfg: ExperimentConfig, n3_values) -> list[TrialRow]:
     """Repeat the experiment over a range of three-objective subsample sizes."""
     if len(cfg.sizes) < 2:
         raise ValueError("a sweep over N3 needs sizes (N1, N2, ...)")
+    m = get_problem(cfg.problem).n_objectives
+    if m < 3:
+        raise ValueError(f"a sweep over N3 needs at least three objectives; {cfg.problem} has {m}")
     rows = []
     for n3 in n3_values:
         sizes = (cfg.sizes[0], cfg.sizes[1], int(n3))

@@ -1,9 +1,19 @@
 """Generational distance, its inverse, and grid sampling of fitted models.
 
-Distances are computed pairwise and exactly (no spatial index); the sets this
-package produces are small enough that the quadratic pass finishes in seconds.
-The reductions are arranged so results match a naive per-pair computation
-bit for bit.
+Distances are exact: each directed mean equals, bit for bit, a left-to-right
+sum of per-point minima of `sqrt(sum((x - y) ** 2))` over every pair (no
+spatial index, no approximation). The nearest-point search runs in two passes
+per block of rows. Pass 1 approximates all squared distances of the block
+with one matrix product, ||x||^2 + ||y||^2 - 2 x.y on centred points, and
+keeps as candidates the pairs whose approximation lies within a rigorous
+rounding bound of a row's or a column's minimum. Pass 2 recomputes only
+those pairs with the exact expression and takes their minima. The bound
+covers the rounding of both the approximation and the exact expression, so
+the pair that gives the true minimum is always a candidate, and every
+candidate's value is an exact pair distance: the minimum is the same number
+the full computation gives. Blocks the bound cannot vouch for (non-finite or
+overflowing coordinates) or where most pairs tie (so that gathering them would
+cost more than the full block) are computed in full with the exact expression.
 """
 
 from __future__ import annotations
@@ -16,6 +26,12 @@ from .fitting import barycentric_grid
 from .pareto import SampleSet
 
 _BLOCK_ROWS = 256
+_U = np.finfo(float).eps / 2  # unit roundoff
+_ETA = np.finfo(float).smallest_subnormal
+_SQ_LIMIT = np.finfo(float).max / 16
+# OpenBLAS threads a product of more multiply-adds than this; with busy cores a
+# worker thread can stall the call for a scheduler tick, so pass 1 stays below
+_GEMM_SIZE = 1 << 18
 
 
 def grid_sample(model: BezierSimplex, resolution: int) -> SampleSet:
@@ -33,15 +49,107 @@ def _points(obj) -> np.ndarray:
     return np.atleast_2d(np.asarray(obj, dtype=float))
 
 
+def _pair_dists(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Exact distances of broadcast point pairs; every reported minimum is one of these."""
+    return np.sqrt(np.sum((P - Q) ** 2, axis=-1))
+
+
 def _min_dists(X: np.ndarray, Y: np.ndarray, want_cols: bool):
+    """Per-row (and, if asked, per-column) minima of `_pair_dists(X[i], Y[j])`.
+
+    Pass 1 centres both sets on c, the midpoint of their joint bounding box,
+    and for each block of `_BLOCK_ROWS` rows takes one matrix product of
+    [x^, 1, ||x^||^2] with [-2 y^, ||y^||^2, 1], with x^ = fl(x - c),
+    y^ = fl(y - c) and the norms rounded: D approximates ||x^ - y^||^2. Let
+    r = fl(sum(fl(fl(x - y)^2))) be the exact expression squared, u = 2^-53
+    the unit roundoff and P = ||x^||^2 + ||y^||^2. To first order in u, for a
+    pair in R^A:
+
+    - r is within (A + 2) u ||x - y||^2 <= (2A + 4) u P of ||x - y||^2 (the
+      difference's rounding, squared, the square's, and A - 1 in the sum, in
+      whatever order numpy adds);
+    - centring moves each coordinate by at most u |x^_k| (or u |y^_k|), so
+      ||x^ - y^||^2 is within 4u P of ||x - y||^2;
+    - the two norms are dot products of length A, within A u P together, and
+      D is one of length A + 2 whose terms sum in magnitude to at most 2P,
+      within (2A + 4) u P whatever the summation order or FMA use; so D is
+      within (3A + 4) u P of ||x^ - y^||^2.
+
+    So |D - r| <= E = (5A + 12) u P. If j* minimises r over a row and j'
+    minimises D, then D[j*] <= r[j*] + E <= r[j'] + E <= D[j'] + 2E, and the
+    same holds for a column against the rows of any earlier blocks. The
+    candidate test D <= min + tol therefore keeps j* when
+    tol >= 2E + u (|min| + tol) ~ (10A + 26) u P. tol = C(A) u N with
+    C(A) = 20 (A + 3) covers that twice over, N being the running maximum of
+    ||x^||^2 over the blocks so far plus the maximum of ||y^||^2. A product
+    that underflows adds at most half the smallest subnormal eta (4A + 2
+    products per pair), hence the C(A) eta term. The square root is
+    monotone, so the pair with the least r has the least distance, and as
+    every candidate is an exact pair distance, the minimum over the
+    candidates is the true minimum.
+
+    N <= max_float / 16 keeps every intermediate of both expressions finite,
+    so D is finite whenever N passes. When N is larger, infinite or NaN
+    (non-finite or huge coordinates), tol is unusable and the block is
+    computed in full. Pass 2 gathers the candidate pairs as (k, A) rows;
+    when more than a quarter of a block's pairs are candidates (mass ties),
+    the full block is computed instead, so memory stays within that of the
+    full block's (rows, n_Y, A) tensors.
+    """
+    n_y, ambient = Y.shape
     row_mins = np.empty(X.shape[0])
-    col_mins = np.full(Y.shape[0], np.inf) if want_cols else None
+    col_mins = np.full(n_y, np.inf) if want_cols else None
+    col_run = np.full(n_y, np.inf)  # running column minima of D
+    lo = np.minimum(X.min(axis=0), Y.min(axis=0))
+    hi = np.maximum(X.max(axis=0), Y.max(axis=0))
+    W = np.empty((ambient + 2, n_y))
+    # pass 1 only screens: non-finite values there send a block to the full path
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = 0.5 * lo + 0.5 * hi  # halves first: no overflow
+        Yc = Y - centre
+        W[:ambient] = -2.0 * Yc.T
+        W[ambient] = np.einsum("ij,ij->i", Yc, Yc)
+    W[ambient + 1] = 1.0
+    y_sq_max = W[ambient].max()
+    x_sq_max = 0.0
+    c_tol = 20 * (ambient + 3)
+    gemm_rows = max(1, _GEMM_SIZE // W.size)
     for start in range(0, X.shape[0], _BLOCK_ROWS):
         block = X[start : start + _BLOCK_ROWS]
-        d = np.sqrt(np.sum((block[:, None, :] - Y[None, :, :]) ** 2, axis=-1))
-        row_mins[start : start + block.shape[0]] = d.min(axis=1)
+        rows = slice(start, start + block.shape[0])
+        Xa = np.empty((block.shape[0], ambient + 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(block, centre, out=Xa[:, :ambient])
+            Xa[:, ambient] = 1.0
+            Xa[:, ambient + 1] = np.einsum("ij,ij->i", Xa[:, :ambient], Xa[:, :ambient])
+        bound = np.maximum(x_sq_max, Xa[:, ambient + 1].max())  # NaN propagates
+        flat = None
+        if bound + y_sq_max <= _SQ_LIMIT:
+            x_sq_max = bound
+            tol = c_tol * (_U * (x_sq_max + y_sq_max) + _ETA)
+            D = np.empty((block.shape[0], n_y))
+            for s in range(0, block.shape[0], gemm_rows):
+                np.matmul(Xa[s : s + gemm_rows], W, out=D[s : s + gemm_rows])
+            cand = D <= (D.min(axis=1) + tol)[:, None]
+            if want_cols:
+                np.minimum(col_run, D.min(axis=0), out=col_run)
+                cand |= D <= col_run + tol
+            flat = np.flatnonzero(cand)
+            del D, cand
+            if 4 * flat.size > block.shape[0] * n_y:
+                flat = None  # mostly ties: the full block is cheaper
+        if flat is None:
+            d = _pair_dists(block[:, None, :], Y[None, :, :])
+            row_mins[rows] = d.min(axis=1)
+            if want_cols:
+                np.minimum(col_mins, d.min(axis=0), out=col_mins)
+            continue
+        ii, jj = np.divmod(flat, n_y)
+        d = _pair_dists(block[ii], Y[jj])
+        # every row has a candidate (its own minimum), and ii is sorted
+        row_mins[rows] = np.minimum.reduceat(d, np.flatnonzero(np.diff(ii, prepend=-1)))
         if want_cols:
-            np.minimum(col_mins, d.min(axis=0), out=col_mins)
+            np.minimum.at(col_mins, jj, d)
     return row_mins, col_mins
 
 

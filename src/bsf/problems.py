@@ -68,6 +68,10 @@ class FileProblem:
     name: str
     sample: SampleSet
 
+    @property
+    def n_objectives(self) -> int:
+        return self.sample.m
+
 
 def evaluate_objectives(problem: ProblemDef, x):
     """Objective vector(s) and constraint feasibility for decision vector(s)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,11 @@ class ResponseSurface:
         if resolution < 1:
             raise ValueError("resolution must be at least 1")
         axis = np.arange(resolution + 1) / resolution
-        U = np.array(list(product(axis, repeat=self.m - 1)))
+        # the rows of itertools.product(axis, repeat=m-1), C-contiguous: the
+        # design matrix's layout decides its summation order, so its last bits
+        U = np.ascontiguousarray(
+            axis[np.indices((resolution + 1,) * (self.m - 1)).reshape(self.m - 1, -1).T]
+        )
         y = self.predict_normalized(U)
         normalized = np.column_stack([U, y])
         return SampleSet(self.lo + self.span * normalized)

@@ -403,6 +403,26 @@ def test_experiment_rejects_zero_jobs(tmp_path, capsys):
     assert "jobs must be at least 1" in capsys.readouterr().err
 
 
+def test_experiment_rejects_negative_degree(tmp_path, capsys):
+    code = run_cli(
+        "experiment", "--problem", "med3", "--method", "inductive", "--trials", "1",
+        "--degree", "-1", "--out", tmp_path / "x",
+    )
+    assert code == 2
+    assert "degree must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_experiment_sweep_on_two_objectives_is_usage_error(tmp_path, capsys):
+    code = run_cli(
+        "experiment", "--problem", "schaffer", "--method", "inductive", "--sizes", "1,3",
+        "--trials", "1", "--sweep-n3", "1:2", "--out", tmp_path / "x",
+    )
+    assert code == 2
+    assert "at least three objectives; schaffer has 2" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_readme_commands_parse():
     """Every `bsf ...` line in the README's sh blocks parses; none is run."""
     readme = Path(__file__).resolve().parent.parent / "README.md"

@@ -132,3 +132,123 @@ def test_blocked_computation_matches_small_blocks(monkeypatch):
     full = gd_igd(X, Y)
     monkeypatch.setattr(metrics, "_BLOCK_ROWS", 17)
     assert gd_igd(X, Y) == full
+
+
+# -- two-pass kernel against the one-pass reference ---------------------------------
+
+
+def reference_min_dists(X, Y, want_cols, block_rows=256):
+    """The one-pass kernel: a (block, n_Y, A) difference tensor per block of rows."""
+    row_mins = np.empty(X.shape[0])
+    col_mins = np.full(Y.shape[0], np.inf) if want_cols else None
+    for start in range(0, X.shape[0], block_rows):
+        block = X[start : start + block_rows]
+        d = np.sqrt(np.sum((block[:, None, :] - Y[None, :, :]) ** 2, axis=-1))
+        row_mins[start : start + block.shape[0]] = d.min(axis=1)
+        if want_cols:
+            np.minimum(col_mins, d.min(axis=0), out=col_mins)
+    return row_mins, col_mins
+
+
+def assert_kernel_matches_reference(X, Y):
+    import bsf.metrics as metrics
+
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for want_cols in (True, False):
+            got = metrics._min_dists(X, Y, want_cols)
+            expected = reference_min_dists(X, Y, want_cols)
+            # bit patterns, so NaN positions and signed zeros count too
+            assert np.array_equal(got[0].view(np.uint64), expected[0].view(np.uint64))
+            if want_cols:
+                assert np.array_equal(got[1].view(np.uint64), expected[1].view(np.uint64))
+            else:
+                assert got[1] is None
+
+
+def near_tie_sets(rng, n, ambient, scale=1.0):
+    """Each row of X has two nearest points of Y at squared distances a few
+    ulps apart: the pairs a rounded pass-1 distance may order wrongly."""
+    X = rng.normal(size=(n, ambient)) * scale
+    v = rng.normal(size=(n, ambient)) * (scale * 1e-3)
+    w = np.nextafter(-v, rng.choice([-np.inf, np.inf], size=v.shape))
+    return X, np.vstack([X + v, X + w])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(1, 600),
+    st.integers(1, 600),
+    st.sampled_from(["normal", "lattice", "offset", "near-ties"]),
+)
+def test_kernel_matches_one_pass_reference(seed, ambient, n_x, n_y, layout):
+    rng = np.random.default_rng(seed)
+    X, Y = rng.normal(size=(n_x, ambient)), rng.normal(size=(n_y, ambient))
+    if layout == "lattice":
+        X, Y = np.round(2 * X), np.round(2 * Y)
+    elif layout == "offset":
+        X, Y = X + 1e6, Y * 1e-3 + 1e6
+    elif layout == "near-ties":
+        X, Y = near_tie_sets(rng, n_x, ambient)
+    assert_kernel_matches_reference(X, Y)
+
+
+def test_kernel_exact_duplicates():
+    rng = np.random.default_rng(10)
+    Y = rng.normal(size=(300, 4))
+    X = np.vstack([Y[:100], Y[:100], rng.normal(size=(200, 4))])
+    assert_kernel_matches_reference(X, Y)
+    assert_kernel_matches_reference(np.repeat(Y[:3], 200, axis=0), Y)
+
+
+def test_kernel_lattice_ties():
+    # every point of one integer lattice is equidistant from 2^A of the other's
+    g = np.arange(8, dtype=float)
+    Y = np.stack(np.meshgrid(g, g, g), axis=-1).reshape(-1, 3)
+    assert_kernel_matches_reference(Y + 0.5, Y)
+    assert_kernel_matches_reference(Y, Y + 0.5)
+
+
+def test_kernel_large_offset():
+    rng = np.random.default_rng(11)
+    X, Y = near_tie_sets(rng, 300, 5)
+    assert_kernel_matches_reference(X + 1e6, Y + 1e6)
+    assert_kernel_matches_reference(X * 1e-6 + 1e6, Y * 1e-6 + 1e6)
+
+
+def test_kernel_nextafter_neighbours():
+    rng = np.random.default_rng(12)
+    Y = rng.normal(size=(400, 6))
+    up = np.nextafter(Y, np.inf)
+    down = np.nextafter(Y, -np.inf)
+    assert_kernel_matches_reference(np.vstack([up, down]), Y)
+    assert_kernel_matches_reference(Y, np.vstack([up, down]))
+
+
+def test_kernel_near_ties_at_every_scale():
+    rng = np.random.default_rng(13)
+    for ambient in (1, 2, 5, 10):
+        for scale in (1e-150, 1e-3, 1.0, 1e150):
+            assert_kernel_matches_reference(*near_tie_sets(rng, 300, ambient, scale))
+
+
+def test_kernel_one_point_sets():
+    rng = np.random.default_rng(14)
+    Y = rng.normal(size=(500, 3))
+    assert_kernel_matches_reference(Y[:1], Y[1:2])
+    assert_kernel_matches_reference(Y[:1], Y)
+    assert_kernel_matches_reference(Y, Y[:1])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200, -1e200, 1e155])
+def test_kernel_non_finite_and_huge_rows(value):
+    rng = np.random.default_rng(15)
+    X, Y = rng.normal(size=(600, 4)), rng.normal(size=(300, 4))
+    X[300, 1] = value
+    assert_kernel_matches_reference(X, Y)
+    assert_kernel_matches_reference(Y, X)
+    Z = rng.normal(size=(600, 4))
+    Z[:, 2] = value
+    assert_kernel_matches_reference(Z, Y)

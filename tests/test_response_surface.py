@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,17 @@ def test_sample_grid_counts(m, r, count):
     S = SampleSet(rng.uniform(size=(30, m)))
     surface = fit_response_surface(S)
     assert surface.sample_grid(r).n == count
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_sample_grid_is_the_product_order_box(m):
+    rng = np.random.default_rng(7)
+    surface = fit_response_surface(SampleSet(rng.uniform(size=(40, m))))
+    r = 6
+    axis = np.arange(r + 1) / r
+    U = np.array(list(product(axis, repeat=m - 1)))
+    expected = surface.lo + surface.span * np.column_stack([U, surface.predict_normalized(U)])
+    assert np.array_equal(surface.sample_grid(r).objectives, expected)
 
 
 def test_constant_surface_sampling():
