@@ -109,42 +109,91 @@ _SCAN_BLOCK = 512
 
 
 def nondominated_mask(F: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows not dominated by any other row.
+    """Boolean mask of rows of the (n, M) array F not dominated by any other row.
 
-    Scans in lexicographic order, where a dominating point always sorts
-    strictly earlier, in blocks: a point is dominated iff some earlier point
-    dominates it, and any such chain grounds out at a non-dominated point, so
-    comparing against (a) all accepted points of earlier blocks and (b) all
-    earlier points of the own block is exact. Results are identical to the
-    quadratic pairwise check.
+    Exact: the mask equals the quadratic pairwise check. Identical rows never
+    dominate each other and share one verdict. F must be 2-d with at least
+    one column and free of NaN, since the method needs a total order; +-inf
+    are valid values.
+
+    Sort the rows lexicographically, column 0 first, and merge each run of
+    identical rows into one group, whose start is the run's first sorted
+    position. If row p dominates row q, then p <= q everywhere and p != q, so
+    p sorts strictly before q's group start. Conversely, a row p sorted before
+    q's group start differs from q and has p[0] <= q[0]; if also p[k] <= q[k]
+    for every k >= 1, then p <= q everywhere with some strict inequality, so
+    p dominates q. Hence q is dominated iff an earlier group is <= q in
+    columns 1..M-1: column 0 and the strict test drop out.
+
+    - M = 1: every group but the first is dominated.
+    - M = 2: a group is dominated iff the prefix minimum of column 1 over the
+      groups before it is <= its own value; O(n log n) in all.
+    - M >= 3: scan the groups in blocks of `_SCAN_BLOCK`, keeping an archive
+      of the non-dominated groups of earlier blocks. Dominance is a strict
+      partial order, so a dominated group q has a non-dominated dominator p,
+      which sorts before q. If p lies in an earlier block it is in the
+      archive. If it lies in q's block, no archive row covers it, so it
+      survives the screen against the archive. Screening each block against
+      the archive and then comparing its survivors with the block's earlier
+      survivors is therefore exact. Each comparison is a (b, a) boolean
+      matrix built column by column with `&=`.
     """
     F = np.asarray(F, dtype=float)
-    n, m = F.shape
-    keep = np.zeros(n, dtype=bool)
+    if F.ndim != 2 or F.shape[1] == 0:
+        raise DimensionError(f"objectives must be 2-d with at least one column, got shape {F.shape}")
+    if np.isnan(F).any():
+        raise DimensionError("objectives must not contain NaN")
+    n = F.shape[0]
     if n == 0:
-        return keep
+        return np.zeros(0, dtype=bool)
     order = np.lexsort(F.T[::-1])
-    G = F[order]
-    archive = np.empty_like(F)
-    count = 0
-    for start in range(0, n, _SCAN_BLOCK):
-        block = G[start : start + _SCAN_BLOCK]
-        b = block.shape[0]
-        # [i, j] True iff block[j] dominates block[i]; only j < i can apply
-        le = np.all(block[None, :, :] <= block[:, None, :], axis=2)
-        lt = np.any(block[None, :, :] < block[:, None, :], axis=2)
-        earlier = np.tril(np.ones((b, b), dtype=bool), k=-1)
-        dominated = np.any(le & lt & earlier, axis=1)
-        if count:
-            a = archive[:count]
-            le_a = np.all(a[None, :, :] <= block[:, None, :], axis=2)
-            lt_a = np.any(a[None, :, :] < block[:, None, :], axis=2)
-            dominated |= np.any(le_a & lt_a, axis=1)
-        kept = block[~dominated]
-        archive[count : count + kept.shape[0]] = kept
-        count += kept.shape[0]
-        keep[order[start : start + b][~dominated]] = True
+    starts = np.zeros(n, dtype=bool)  # True at each group start
+    starts[0] = True
+    for column in F.T:  # one sorted column at a time keeps memory at O(n)
+        c = column[order]
+        starts[1:] |= c[1:] != c[:-1]
+    dominated = _dominated_groups(F[order[starts]])
+    keep = np.empty(n, dtype=bool)
+    keep[order] = ~dominated[np.cumsum(starts) - 1]  # each sorted row's group
     return keep
+
+
+def _covered_by(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """(len(P), len(Q)) matrix, True at [i, j] iff Q[j] <= P[i] in every column."""
+    out = Q[None, :, 0] <= P[:, None, 0]
+    for k in range(1, P.shape[1]):
+        out &= Q[None, :, k] <= P[:, None, k]
+    return out
+
+
+def _dominated_groups(U: np.ndarray) -> np.ndarray:
+    """Rows of U, distinct and in lexicographic order, that an earlier row is
+    <= in columns 1..M-1: the dominated ones; see `nondominated_mask`."""
+    u, m = U.shape
+    if m == 1:
+        return np.arange(u) > 0
+    if m == 2:
+        dominated = np.zeros(u, dtype=bool)
+        dominated[1:] = np.minimum.accumulate(U[:-1, 1]) <= U[1:, 1]
+        return dominated
+    V = U[:, 1:]
+    dominated = np.ones(u, dtype=bool)
+    archive = np.empty_like(V)
+    count = 0
+    for start in range(0, u, _SCAN_BLOCK):
+        block = V[start : start + _SCAN_BLOCK]
+        rows = np.arange(block.shape[0])
+        if count:
+            rows = rows[~_covered_by(block, archive[:count]).any(axis=1)]
+        survivors = block[rows]
+        # only an earlier row can dominate: keep the strict lower triangle
+        earlier = _covered_by(survivors, survivors)
+        earlier &= np.tri(rows.size, k=-1, dtype=bool)
+        rows = rows[~earlier.any(axis=1)]
+        dominated[start + rows] = False
+        archive[count : count + rows.size] = block[rows]
+        count += rows.size
+    return dominated
 
 
 def nondominated_filter(S: SampleSet) -> SampleSet:

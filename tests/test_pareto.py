@@ -4,15 +4,19 @@ from hypothesis import given, settings, strategies as st
 
 from bsf.errors import DimensionError, FaceError, ParseError
 from bsf.pareto import (
+    _SCAN_BLOCK,
     SampleSet,
     dominates,
     enumerate_faces,
     load_sample,
     nondominated_filter,
+    nondominated_mask,
     save_sample,
     skeleton_decompose,
     subsample,
 )
+from bsf.problems import feasible_pool, get_problem
+from test_problems import SMALL_POOL
 
 
 def brute_force_front(F):
@@ -27,6 +31,46 @@ def brute_force_front(F):
                 break
         if not dominated:
             keep.append(i)
+    return keep
+
+
+def pairwise_nondominated_mask(F):
+    """The definition, vectorised: row i is dominated iff some row j is <= it
+    everywhere and < it somewhere. O(n^2 M) memory."""
+    F = np.asarray(F, dtype=float)
+    le = np.all(F[None, :, :] <= F[:, None, :], axis=2)
+    lt = np.any(F[None, :, :] < F[:, None, :], axis=2)
+    return ~np.any(le & lt, axis=1)
+
+
+def reference_nondominated_mask(F, block=512):
+    """The earlier blocked scan: lexicographic order, each block compared with
+    the accepted rows of earlier blocks and with itself as (b, b, M) tensors."""
+    F = np.asarray(F, dtype=float)
+    n, m = F.shape
+    keep = np.zeros(n, dtype=bool)
+    if n == 0:
+        return keep
+    order = np.lexsort(F.T[::-1])
+    G = F[order]
+    archive = np.empty_like(F)
+    count = 0
+    for start in range(0, n, block):
+        blk = G[start : start + block]
+        b = blk.shape[0]
+        le = np.all(blk[None, :, :] <= blk[:, None, :], axis=2)
+        lt = np.any(blk[None, :, :] < blk[:, None, :], axis=2)
+        earlier = np.tril(np.ones((b, b), dtype=bool), k=-1)
+        dominated = np.any(le & lt & earlier, axis=1)
+        if count:
+            a = archive[:count]
+            le_a = np.all(a[None, :, :] <= blk[:, None, :], axis=2)
+            lt_a = np.any(a[None, :, :] < blk[:, None, :], axis=2)
+            dominated |= np.any(le_a & lt_a, axis=1)
+        kept = blk[~dominated]
+        archive[count : count + kept.shape[0]] = kept
+        count += kept.shape[0]
+        keep[order[start : start + b][~dominated]] = True
     return keep
 
 
@@ -96,6 +140,93 @@ def test_filter_matches_brute_force_random(seed, m, n):
     F = rng.integers(0, 4, size=(n, m)).astype(float)
     out = nondominated_filter(SampleSet(F))
     np.testing.assert_array_equal(out.objectives, F[brute_force_front(F)])
+
+
+def _mask_case(layout, m, n, rng):
+    if layout == "lattice":  # ties and duplicates in every column
+        return rng.integers(0, 4, size=(n, m)).astype(float)
+    if layout == "simplex":  # points on the unit simplex: all kept
+        return rng.dirichlet(np.ones(m), size=n)
+    # a large cloud above a small front: almost every row is dominated
+    front = rng.dirichlet(np.ones(m), size=int(rng.integers(1, 20)))
+    rows = rng.integers(0, front.shape[0], size=n)
+    return front[rows] + np.abs(rng.normal(size=(n, m))) * (rng.random((n, 1)) < 0.98)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from(["lattice", "simplex", "cloud"]))
+def test_mask_matches_pairwise_definition_past_block(seed, m, layout):
+    rng = np.random.default_rng(seed)
+    # n drawn uniformly, so most cases span two or three blocks
+    F = _mask_case(layout, m, int(rng.integers(1, 1301)), rng)
+    np.testing.assert_array_equal(nondominated_mask(F), pairwise_nondominated_mask(F))
+
+
+@pytest.mark.parametrize("dominated", [False, True])
+def test_mask_duplicates_straddle_block_boundary(dominated):
+    rng = np.random.default_rng(11)
+    F = rng.dirichlet(np.ones(3), size=2 * _SCAN_BLOCK)
+    F = F[np.lexsort(F.T[::-1])]
+    # a pair of identical rows at sorted positions 511 and 512: a front row,
+    # or a row just above its sorted predecessor, which dominates it
+    twin = F[_SCAN_BLOCK - 2] + [0, 0, 1e-9] if dominated else F[_SCAN_BLOCK - 1]
+    F = np.vstack([F[: _SCAN_BLOCK - 1], twin, twin, F[_SCAN_BLOCK:]])
+    F = F[rng.permutation(F.shape[0])]
+    order = np.lexsort(F.T[::-1])
+    np.testing.assert_array_equal(F[order[_SCAN_BLOCK - 1]], F[order[_SCAN_BLOCK]])
+    mask = nondominated_mask(F)
+    np.testing.assert_array_equal(mask, pairwise_nondominated_mask(F))
+    assert mask[order[_SCAN_BLOCK - 1]] == mask[order[_SCAN_BLOCK]] == (not dominated)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_mask_all_rows_equal(m):
+    assert nondominated_mask(np.full((2 * _SCAN_BLOCK + 3, m), 2.5)).all()
+
+
+def test_mask_single_objective_ties_at_minimum():
+    F = np.array([[2.0], [1.0], [1.0], [3.0], [1.0], [-np.inf], [-np.inf]])
+    np.testing.assert_array_equal(nondominated_mask(F), [0, 0, 0, 0, 0, 1, 1])
+    F = np.tile([[4.0], [1.0], [1.0], [7.0]], (300, 1))
+    np.testing.assert_array_equal(nondominated_mask(F), F[:, 0] == 1.0)
+
+
+def test_mask_signed_zeros_and_infinities():
+    # -0.0 == 0.0: such rows are identical, and each dominates (0, 1, 1)
+    F = np.array([
+        [-0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, -0.0, 1.0],
+        [np.inf, -np.inf, 5.0], [np.inf, -np.inf, np.inf], [-np.inf, np.inf, 0.0],
+    ])
+    expected = [True, False, True, True, False, True]
+    np.testing.assert_array_equal(nondominated_mask(F), expected)
+    np.testing.assert_array_equal(pairwise_nondominated_mask(F), expected)
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        np.array([1.0, 2.0, 3.0]),
+        np.zeros((4, 0)),
+        np.zeros((2, 2, 2)),
+        np.array([[1.0, np.nan], [0.0, 0.0]]),
+    ],
+    ids=["1-d", "no-columns", "3-d", "nan"],
+)
+def test_mask_rejects_bad_input(F):
+    with pytest.raises(DimensionError):
+        nondominated_mask(F)
+
+
+def test_mask_empty_input():
+    assert nondominated_mask(np.zeros((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("problem", ["constrex", "osyczka2", "viennet2"])
+def test_mask_matches_reference_on_pool_faces(problem):
+    _, F = feasible_pool(get_problem(problem), size=SMALL_POOL, seed=3)
+    for face in enumerate_faces(F.shape[1], F.shape[1]):
+        G = F[:, list(face)]
+        np.testing.assert_array_equal(nondominated_mask(G), reference_nondominated_mask(G))
 
 
 # -- subsample -------------------------------------------------------------------
