@@ -65,6 +65,13 @@ def _multi_indices(m: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def barycentric_grid(m: int, resolution: int) -> np.ndarray:
+    """All barycentric vectors with denominator `resolution`; canonical order."""
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
+    return np.array(multi_indices(m, resolution), dtype=float) / resolution
+
+
 def multinomial(degree: int, index: tuple[int, ...]) -> int:
     """D! / (d_1! ... d_m!), exact integer arithmetic."""
     if degree > MAX_EXACT_DEGREE:
@@ -81,10 +88,21 @@ def multinomial(degree: int, index: tuple[int, ...]) -> int:
     return coef
 
 
+def monomials(T, E) -> np.ndarray:
+    """Entry [n, k] is prod_j T[n, j] ** E[k, j]: one (n, K) power per column,
+    multiplied in left to right from column 0's, without an (n, K, m) tensor."""
+    T = np.asarray(T, dtype=float)
+    E = np.asarray(E, dtype=float)
+    out = T[:, :1] ** E[:, 0]
+    for j in range(1, E.shape[1]):
+        out *= T[:, j:j + 1] ** E[:, j]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _basis_arrays(m: int, degree: int):
-    idx = np.array(multi_indices(m, degree), dtype=np.int64).reshape(-1, m)
-    w = np.array([multinomial(degree, tuple(d)) for d in idx], dtype=float)
+    idx = np.array(multi_indices(m, degree), dtype=float).reshape(-1, m)
+    w = np.array([multinomial(degree, d) for d in multi_indices(m, degree)], dtype=float)
     return idx, w
 
 
@@ -94,10 +112,8 @@ def weighted_design_matrix(m: int, degree: int, T: np.ndarray) -> np.ndarray:
     Column order follows multi_indices(m, degree). Entry [n, k] is the
     coefficient of control point k in b(T[n]).
     """
-    T = np.asarray(T, dtype=float)
     idx, w = _basis_arrays(m, degree)
-    mono = np.prod(T[:, None, :] ** idx[None, :, :], axis=2)
-    return w * mono
+    return w * monomials(T, idx)
 
 
 @lru_cache(maxsize=None)

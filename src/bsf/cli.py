@@ -19,15 +19,7 @@ import numpy as np
 
 from . import plotting
 from .bezier import BezierSimplex
-from .errors import (
-    BarycentricError,
-    BsfError,
-    DimensionError,
-    DomainError,
-    FaceError,
-    InvalidIndexError,
-    ParseError,
-)
+from .errors import BsfError, DimensionError, ParseError
 from .fitting import FitConfig, init_parameters, project_parameter, sse
 from .harness import (
     ExperimentConfig,
@@ -41,23 +33,14 @@ from .harness import (
     write_rows,
     write_summary,
 )
-from .pareto import SampleSet, load_sample, save_sample
-from .problems import get_problem, make_training_set
+from .pareto import SampleSet, face_label, load_sample, save_sample
+from .problems import FileProblem, get_problem, make_training_set
 from .response_surface import ResponseSurface
 
 log = logging.getLogger("bsf.cli")
 
-_USAGE_ERRORS = (
-    DimensionError,
-    FaceError,
-    ParseError,
-    InvalidIndexError,
-    BarycentricError,
-    DomainError,
-    FileNotFoundError,
-    KeyError,
-    ValueError,
-)
+# every validation error in errors.py is also a ValueError
+_USAGE_ERRORS = (ValueError, FileNotFoundError, KeyError)
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -78,10 +61,6 @@ def _parse_n3_range(text: str) -> tuple[int, int]:
     if not 0 <= lo <= hi:
         raise argparse.ArgumentTypeError(f"the N3 range lo:hi needs 0 <= lo <= hi (got {text!r})")
     return lo, hi
-
-
-def _face_label(face) -> str:
-    return "-".join(str(j + 1) for j in face)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,7 +134,7 @@ def cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     faces = []
     for face, S in training.items():
-        name = f"train_f{_face_label(face)}.csv"
+        name = f"train_f{face_label(face)}.csv"
         save_sample(S, out / name)
         faces.append({"objectives": [j + 1 for j in face], "file": name, "n": S.n})
     save_sample(validation, out / "validation.csv")
@@ -261,7 +240,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     methods = tuple(args.method)
-    get_problem(args.problem)  # fail fast on unknown names
+    problem = get_problem(args.problem)  # fail fast on unknown names
+    if isinstance(problem, FileProblem):
+        problem.front(args.graph)  # and on --graph over a file without solutions
     cfg = ExperimentConfig(
         problem=args.problem,
         methods=methods,

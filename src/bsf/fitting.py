@@ -26,13 +26,13 @@ import numpy as np
 from .bezier import (
     BezierSimplex,
     as_barycentric_rows,
+    barycentric_grid,
     face_indices,
-    multi_indices,
     partial_derivatives,
     weighted_design_matrix,
 )
 from .errors import DimensionError, InsufficientDataError
-from .pareto import SampleSet, enumerate_faces
+from .pareto import SampleSet, enumerate_faces, face_label
 
 log = logging.getLogger("bsf.fitting")
 
@@ -87,7 +87,7 @@ class FitResult:
         report = None
         if self.per_face_report is not None:
             report = {
-                "-".join(str(j + 1) for j in face): {
+                face_label(face): {
                     "iterations": r.iterations,
                     "ssr": r.ssr,
                     "n_points": r.n_points,
@@ -116,20 +116,11 @@ def initialize_control_net(vertex_optima, degree: int, m: int | None = None) -> 
     if m is not None and V.shape[0] != m:
         raise DimensionError(f"expected {m} corner points, got {V.shape[0]}")
     m = V.shape[0]
-    idx = np.array(multi_indices(m, degree), dtype=float)
     if degree == 0:
         pts = V.mean(axis=0, keepdims=True)
     else:
-        pts = (idx / degree) @ V
+        pts = barycentric_grid(m, degree) @ V
     return BezierSimplex(m, degree, pts)
-
-
-def barycentric_grid(m: int, resolution: int) -> np.ndarray:
-    """All barycentric vectors with denominator `resolution`; canonical order."""
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
-    idx = np.array(multi_indices(m, resolution), dtype=float)
-    return idx / resolution
 
 
 def init_parameters(model: BezierSimplex, X, cfg: FitConfig) -> np.ndarray:
@@ -365,7 +356,7 @@ def fit_inductive_skeleton(
         S_face = decomposed.get(face)
         n_points = 0 if S_face is None else S_face.n
         if n_points == 0:
-            label = "-".join(str(j + 1) for j in face)
+            label = face_label(face)
             if len(face) == 1:
                 raise InsufficientDataError(f"no sample for vertex face {label}")
             log.warning("face %s has no subsample; keeping grid initialization", label)

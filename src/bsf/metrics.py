@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bezier import BezierSimplex
+from .bezier import BezierSimplex, barycentric_grid
 from .errors import DimensionError
-from .fitting import barycentric_grid
 from .pareto import SampleSet
 
 _BLOCK_ROWS = 256

@@ -216,6 +216,11 @@ def enumerate_faces(m: int, max_size: int):
         yield from combinations(range(m), size)
 
 
+def face_label(face) -> str:
+    """1-based objective numbers joined by dashes, e.g. (0, 2) -> "1-3"."""
+    return "-".join(str(j + 1) for j in face)
+
+
 def skeleton_decompose(S: SampleSet, m_max: int) -> dict[tuple[int, ...], SampleSet]:
     """Face subsamples for every nonempty face with |face| <= m_max."""
     return {face: subsample(S, face) for face in enumerate_faces(S.m, m_max)}

@@ -28,13 +28,7 @@ from .errors import (
     DomainError,
     InsufficientFrontError,
 )
-from .pareto import (
-    SampleSet,
-    enumerate_faces,
-    load_sample,
-    nondominated_mask,
-    save_sample,
-)
+from .pareto import SampleSet, enumerate_faces, load_sample, nondominated_mask
 
 log = logging.getLogger("bsf.problems")
 
@@ -67,10 +61,20 @@ class FileProblem:
 
     name: str
     sample: SampleSet
+    path: str | None = None  # the file the sample was read from, for messages
 
     @property
     def n_objectives(self) -> int:
         return self.sample.m
+
+    def front(self, with_solutions: bool | None) -> SampleSet:
+        """The sample with its solution columns if asked for, without if not, as read if None."""
+        if with_solutions and self.sample.solutions is None:
+            raise DimensionError(f"{self.path or self.name}: fitting the graph needs "
+                                 "solution columns x1, x2, ..., and the file has only objectives")
+        if with_solutions is False and self.sample.solutions is not None:
+            return SampleSet(self.sample.objectives)
+        return self.sample
 
 
 def evaluate_objectives(problem: ProblemDef, x):
@@ -86,12 +90,18 @@ def evaluate_objectives(problem: ProblemDef, x):
     if np.any(X < lo) or np.any(X > hi):
         raise DomainError(f"decision vector outside the bounds of {problem.name}")
     F = problem.objectives(X)
-    feasible = np.ones(X.shape[0], dtype=bool)
-    for g in problem.constraints:
-        feasible &= np.asarray(g(X)) >= 0.0
+    feasible = _feasible(problem, X)
     if single:
         return F[0], bool(feasible[0])
     return F, feasible
+
+
+def _feasible(problem: ProblemDef, X: np.ndarray) -> np.ndarray:
+    """Mask of the rows of X that satisfy every constraint g(X) >= 0."""
+    feasible = np.ones(X.shape[0], dtype=bool)
+    for g in problem.constraints:
+        feasible &= np.asarray(g(X)) >= 0.0
+    return feasible
 
 
 # -- problem definitions ------------------------------------------------------
@@ -266,7 +276,7 @@ def get_problem(name: str) -> ProblemDef | FileProblem:
         return make_med(int(name.split(":", 1)[1]))
     if name.startswith("file:"):
         path = name.split(":", 1)[1]
-        return FileProblem(Path(path).stem, load_sample(path))
+        return FileProblem(Path(path).stem, load_sample(path), path)
     raise KeyError(f"unknown problem {name!r}; valid names: {', '.join(problem_names())}")
 
 
@@ -291,10 +301,7 @@ def feasible_pool(problem: ProblemDef, size: int = POOL_SIZE, seed: int = 0):
         have = 0
         while have < size:
             X = _lhs_batch(problem.bounds, max(size, 1 << 16), rng)
-            feasible = np.ones(X.shape[0], dtype=bool)
-            for g in problem.constraints:
-                feasible &= np.asarray(g(X)) >= 0.0
-            X = X[feasible]
+            X = X[_feasible(problem, X)]
             xs.append(X)
             fs.append(problem.objectives(X))
             have += X.shape[0]
@@ -398,7 +405,7 @@ def make_training_set(
     sizes: tuple[int, ...],
     seed: int = 0,
     validation_size: int = 1000,
-    with_solutions: bool = False,
+    with_solutions: bool | None = None,
     pool_seed: int = 0,
 ):
     """Per-face training subsamples plus a validation set.
@@ -406,9 +413,11 @@ def make_training_set(
     Returns (mapping face -> SampleSet, validation SampleSet). Faces of size k
     receive sizes[k-1] points from the front of the matching subproblem;
     subsamples are pairwise disjoint and disjoint from the validation set.
+    The sets carry solution vectors if `with_solutions` is true; None, the
+    default, means false, except that a sample file keeps its own columns.
     """
     if isinstance(problem, FileProblem):
-        return _training_from_sample(problem, sizes, seed, validation_size)
+        return _training_from_sample(problem, sizes, seed, validation_size, with_solutions)
     if any(s < 0 for s in sizes) or not sizes or sizes[0] < 1:
         raise InsufficientFrontError("sizes must start with at least one vertex point")
     m = problem.n_objectives
@@ -481,9 +490,9 @@ def _training_from_pool(problem, sizes, rng, validation_size, with_solutions, po
     return training, validation
 
 
-def _training_from_sample(problem: FileProblem, sizes, seed, validation_size):
+def _training_from_sample(problem: FileProblem, sizes, seed, validation_size, with_solutions):
     """Skeleton split of an externally supplied front sample."""
-    sample = problem.sample
+    sample = problem.front(with_solutions)
     rng = np.random.default_rng(seed)
     picks, used = _skeleton_picks(problem.name, sample.objectives, sizes, rng)
     training = {face: sample.take(pick) for face, pick in picks.items()}
@@ -502,9 +511,7 @@ __all__ = [
     "feasible_pool",
     "generate_front_sample",
     "get_problem",
-    "load_sample",
     "make_med",
     "make_training_set",
     "problem_names",
-    "save_sample",
 ]

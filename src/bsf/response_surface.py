@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bezier import monomials
 from .errors import DimensionError
 from .pareto import SampleSet, normalizer_from
 
@@ -38,11 +39,6 @@ def cubic_basis_exponents(n_inputs: int) -> tuple[tuple[int, ...], ...]:
     return tuple(exps)
 
 
-def _design(U: np.ndarray, exponents) -> np.ndarray:
-    E = np.array(exponents)
-    return np.prod(U[:, None, :] ** E[None, :, :], axis=2)
-
-
 @dataclass(frozen=True, eq=False)
 class ResponseSurface:
     m: int
@@ -55,7 +51,7 @@ class ResponseSurface:
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if U.shape[1] != self.m - 1:
             raise DimensionError(f"expected {self.m - 1} inputs, got {U.shape[1]}")
-        return _design(U, self.exponents) @ self.coefficients
+        return monomials(U, self.exponents) @ self.coefficients
 
     def sample_grid(self, resolution: int) -> SampleSet:
         """(resolution + 1)^(m-1) surface points over the normalized unit box,
@@ -111,6 +107,6 @@ def fit_response_surface(S: SampleSet) -> ResponseSurface:
     normalized = (S.objectives - lo) / span
     U, y = normalized[:, :-1], normalized[:, -1]
     exponents = cubic_basis_exponents(S.m - 1)
-    coef, *_ = np.linalg.lstsq(_design(U, exponents), y, rcond=None)
+    coef, *_ = np.linalg.lstsq(monomials(U, exponents), y, rcond=None)
     return ResponseSurface(S.m, exponents, coef, lo, span)
 

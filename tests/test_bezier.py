@@ -9,6 +9,7 @@ from bsf.bezier import (
     as_barycentric,
     embed_on_face,
     face_indices,
+    monomials,
     multi_indices,
     multinomial,
     partial_derivatives,
@@ -20,6 +21,7 @@ from bsf.errors import (
     FaceError,
     InvalidIndexError,
 )
+from bsf.response_surface import cubic_basis_exponents
 
 
 # -- independent oracles -------------------------------------------------------
@@ -405,3 +407,57 @@ def test_design_matrix_rows_sum_to_one():
     T = rng.dirichlet(np.ones(4), size=20)
     phi = weighted_design_matrix(4, 3, T)
     np.testing.assert_allclose(phi.sum(axis=1), 1.0, atol=1e-12)
+
+
+# -- the monomial kernel, bit for bit against the (n, K, m) power tensor ---------
+
+
+def reference_design(T, E):
+    """The power-tensor product `monomials` replaced."""
+    return np.prod(T[:, None, :] ** E[None, :, :], axis=2)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def simplex_rows(draw):
+    m = draw(st.integers(1, 8))
+    degree = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    T = rng.dirichlet(np.ones(m), size=n)
+    # rows of exact zeros and ones: vertices, and points on lower faces
+    for i in range(0, n, 7):
+        T[i] = np.eye(m)[rng.integers(m)]
+    for i in range(3, n, 11):
+        T[i, rng.random(m) < 0.5] = 0.0
+    return m, degree, T
+
+
+@settings(max_examples=60, deadline=None)
+@given(simplex_rows())
+def test_monomials_match_power_tensor_bits(case):
+    m, degree, T = case
+    E = np.array(multi_indices(m, degree), dtype=np.int64).reshape(-1, m)
+    assert_same_bits(monomials(T, E), reference_design(T, E))
+    w = np.array([multinomial(degree, d) for d in multi_indices(m, degree)], dtype=float)
+    assert_same_bits(weighted_design_matrix(m, degree, T), w * reference_design(T, E))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_monomials_match_power_tensor_on_cubic_basis(k):
+    E = np.array(cubic_basis_exponents(k))
+    U = np.random.default_rng(k).random((300, k))
+    U[:40] = np.round(U[:40])  # exact 0s and 1s
+    assert_same_bits(monomials(U, cubic_basis_exponents(k)), reference_design(U, E))
+
+
+def test_monomials_match_power_tensor_on_med5_box_grid():
+    # the response surface's 21^4 sampling grid at M=5, r=20
+    axis = np.arange(21) / 20
+    U = np.ascontiguousarray(axis[np.indices((21,) * 4).reshape(4, -1).T])
+    E = np.array(cubic_basis_exponents(4))
+    assert_same_bits(monomials(U, E), reference_design(U, E))

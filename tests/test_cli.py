@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import shlex
@@ -11,7 +12,7 @@ from bsf.bezier import BezierSimplex, embed_on_face
 from bsf.cli import build_parser, main
 from bsf.fitting import initialize_control_net
 from bsf.metrics import grid_sample
-from bsf.pareto import SampleSet, save_sample
+from bsf.pareto import SampleSet, load_sample, save_sample
 from bsf.pareto import enumerate_faces
 
 
@@ -420,6 +421,50 @@ def test_experiment_sweep_on_two_objectives_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "at least three objectives; schaffer has 2" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def _front_files(tmp_path):
+    """One med3 front sample twice: with solution columns and without."""
+    assert run_cli(
+        "generate", "--problem", "med3", "--sizes", "1,2,1", "--seed", "4",
+        "--validation", "120", "--graph", "--out", tmp_path / "gen",
+    ) == 0
+    with_x = tmp_path / "gen" / "validation.csv"
+    objectives_only = tmp_path / "front.csv"
+    save_sample(SampleSet(load_sample(with_x).objectives), objectives_only)
+    return with_x, objectives_only
+
+
+def test_file_problem_without_graph_fits_objectives(tmp_path):
+    with_x, objectives_only = _front_files(tmp_path)
+    scores = []
+    for name, path in (("a", with_x), ("b", objectives_only)):
+        out = tmp_path / name
+        assert run_cli(
+            "experiment", "--problem", f"file:{path}", "--method", "inductive",
+            "--method", "response-surface", "--trials", "2", "--out", out,
+        ) == 0
+        with (out / "results.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(not r["error"] for r in rows)
+        scores.append([(r["method"], r["gd"], r["igd"]) for r in rows])
+    # the solution columns are dropped, so both files give the same fits
+    assert scores[0] == scores[1]
+
+
+@pytest.mark.parametrize("command", ["experiment", "generate"])
+def test_file_problem_graph_needs_solution_columns(tmp_path, capsys, command):
+    _, objectives_only = _front_files(tmp_path)
+    capsys.readouterr()
+    extra = ["--method", "inductive", "--trials", "2"] if command == "experiment" else []
+    code = run_cli(
+        command, "--problem", f"file:{objectives_only}", "--sizes", "1,2,1", "--graph",
+        *extra, "--out", tmp_path / "x",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{objectives_only}: fitting the graph needs solution columns" in err
     assert not (tmp_path / "x").exists()
 
 
