@@ -135,7 +135,7 @@ def _shift_rows(m: int, degree: int, order: int) -> np.ndarray:
     return table
 
 
-def partial_derivatives(m: int, degree: int, points, T, order: int) -> np.ndarray:
+def partial_derivatives(m: int, degree: int, points, T, order: int, owner=None) -> np.ndarray:
     """Partial derivatives of one order of the model at every row of T.
 
     Returns shape (n, ambient) + (m,) * order; order 0 is the value itself.
@@ -146,16 +146,41 @@ def partial_derivatives(m: int, degree: int, points, T, order: int) -> np.ndarra
 
     (Farin, Curves and Surfaces for CAGD). Orders above the degree vanish.
     Rows of T are used as given, without barycentric validation.
+
+    `points` is one control net (K, ambient), or a stack of nets
+    (F, K, ambient) together with `owner`, the sorted net index of every row
+    of T. A stack takes one design matrix over all rows and one product per
+    run of equal owners, so each run gets the bits of a one-net call on its
+    rows alone.
     """
     T = np.asarray(T, dtype=float)
-    points = np.asarray(points, dtype=float)
+    # nets stay C-contiguous (take copies so), so that every product,
+    # stacked or not, is the same BLAS call on the same operands
+    points = np.ascontiguousarray(points, dtype=float)
     if order > degree:
-        return np.zeros((T.shape[0], points.shape[1]) + (m,) * order)
-    net = points[_shift_rows(m, degree, order)]  # (K_low, m, ..., m, ambient)
+        return np.zeros((T.shape[0], points.shape[-1]) + (m,) * order)
     basis = weighted_design_matrix(m, degree - order, T)  # (n, K_low)
-    out = (basis @ net.reshape(net.shape[0], -1)).reshape((T.shape[0],) + net.shape[1:])
+    if order == 0:
+        return _per_owner(basis, points, owner)
+    # ([F,] K_low, m, ..., m, ambient)
+    net = points.take(_shift_rows(m, degree, order), axis=-2)
+    lead = points.ndim - 1
+    flat = net.reshape(net.shape[:lead] + (-1,))
+    out = _per_owner(basis, flat, owner).reshape((T.shape[0],) + net.shape[lead:])
     out *= math.perm(degree, order)
     return out.transpose((0, order + 1) + tuple(range(1, order + 1)))
+
+
+def _per_owner(basis: np.ndarray, nets: np.ndarray, owner) -> np.ndarray:
+    """basis[i] @ nets[owner[i]] for every row; one product per owner run."""
+    if owner is None:
+        return basis @ nets
+    out = np.empty((basis.shape[0], nets.shape[-1]))
+    bounds = np.searchsorted(owner, np.arange(nets.shape[0] + 1)).tolist()
+    for f, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if lo < hi:
+            out[lo:hi] = basis[lo:hi] @ nets[f]
+    return out
 
 
 def as_barycentric(t, m: int | None = None) -> np.ndarray:

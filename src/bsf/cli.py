@@ -258,9 +258,9 @@ def cmd_experiment(args) -> int:
     )
     if args.sweep_n3:
         lo, hi = args.sweep_n3
-        rows = run_sweep(cfg, range(lo, hi + 1))
+        rows = run_sweep(cfg, range(lo, hi + 1), problem)
     else:
-        rows = run_experiment(cfg)
+        rows = run_experiment(cfg, problem)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_rows(rows, out / "results.csv")

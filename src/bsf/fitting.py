@@ -7,12 +7,17 @@ Two fitting strategies share one alternating loop:
   points of already-fitted subfaces are frozen, and only the face-interior
   control points are solved against that face's subsample.
 
-The parameter update is a constrained Newton iteration on the squared
+The loop takes a batch of independent fits and advances them in lockstep:
+the skeleton passes every face of one cardinality, all-at-once a batch of
+one. The parameter update is a constrained Newton iteration on the squared
 distance, with the last barycentric coordinate eliminated and iterates
-clamped back onto the simplex. It runs on all samples at once as one batch,
-but its stopping rules and its gradient fallback apply to each sample on its
-own. The control-point update is an exact linear least-squares solve, so the
-per-iteration loss never increases.
+clamped back onto the simplex. One call runs it on the samples of every fit
+in the batch at once, but its stopping rules and its gradient fallback apply
+to each sample on its own, and each sample meets only its own fit's control
+net. The control-point update is an exact linear least-squares solve per
+fit, so the per-iteration loss never increases. Each fit stops on its own
+test and leaves the batch; its results are bit-identical to fitting it
+alone.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -165,13 +171,18 @@ def _solve_rows(H: np.ndarray, g: np.ndarray) -> np.ndarray:
         return out
 
 
-def project_parameter(model: BezierSimplex, x, t0, cfg: FitConfig) -> np.ndarray:
+def project_parameter(model, x, t0, cfg: FitConfig):
     """Foot-point projection: locally minimize |b(t) - x|^2 over the simplex.
 
     `x` is one point of shape (ambient,) with `t0` of shape (m,), or a batch
     of shape (n, ambient) with `t0` of shape (n, m); the result has the shape
     of `t0`. All rows run one vectorized Newton iteration, but every rule
     below applies to each row on its own, and a row that stops is frozen.
+
+    `model` may also be a tuple of models sharing m, degree and ambient, with
+    `x` and `t0` tuples of per-model blocks as above; the result is then a
+    list of per-model results. The rows of every model run in one Newton
+    batch, and each model's results are bit-identical to a call on it alone.
 
     Newton steps act on the reduced coordinates (the last one is eliminated
     through the sum constraint); after each step negative entries are clamped
@@ -184,40 +195,87 @@ def project_parameter(model: BezierSimplex, x, t0, cfg: FitConfig) -> np.ndarray
     backtracking gradient step (at most 20 halvings). Each row returns its
     best iterate by squared distance, so no result falls behind its start.
     """
+    if isinstance(model, tuple):
+        return _project_models(model, x, t0, cfg)
+    X, single = _projection_points(model, x)
+    T = as_barycentric_rows(t0, model.m)
+    if T.shape[0] != X.shape[0]:
+        raise DimensionError("points and starting parameters disagree in count")
+    if model.m > 1:
+        T = _newton_rows(model.m, model.degree, model.points, X, T, cfg)
+    return T[0] if single else T
+
+
+def _projection_points(model: BezierSimplex, x) -> tuple[np.ndarray, bool]:
+    """Points as (n, ambient) rows, and whether `x` was a single point."""
     X = np.asarray(x, dtype=float)
     single = X.ndim == 1
     X = np.atleast_2d(X)
     if X.ndim != 2 or X.shape[1] != model.ambient:
         raise DimensionError(f"expected points in R^{model.ambient}, got shape {np.shape(x)}")
-    T = as_barycentric_rows(t0, model.m)
-    if T.shape[0] != X.shape[0]:
-        raise DimensionError("points and starting parameters disagree in count")
-    if model.m > 1:
-        T = _newton_rows(model, X, T, cfg)
-    return T[0] if single else T
+    return X, single
 
 
-def _newton_rows(model: BezierSimplex, X, T, cfg: FitConfig) -> np.ndarray:
-    m, degree, P = model.m, model.degree, model.points
+def _project_models(models: tuple, xs, t0s, cfg: FitConfig) -> list:
+    """project_parameter over several models: their rows are stacked in model
+    order, each row carries the index of its model's control net, and the
+    starts are validated together (the repair is row by row)."""
+    if not len(models) == len(xs) == len(t0s):
+        raise DimensionError("models, point blocks and start blocks disagree in count")
+    if not models:
+        return []
+    m, degree, ambient = models[0].m, models[0].degree, models[0].ambient
+    if any((mo.m, mo.degree, mo.ambient) != (m, degree, ambient) for mo in models):
+        raise DimensionError("batched models must share m, degree and ambient dimension")
+    points = [_projection_points(mo, x) for mo, x in zip(models, xs)]
+    starts = [np.atleast_2d(np.asarray(t0, dtype=float)) for t0 in t0s]
+    if any(S.shape != (X.shape[0], m) for S, (X, _) in zip(starts, points)):
+        raise DimensionError("each point block needs one start of m coordinates per point")
+    T = as_barycentric_rows(np.concatenate(starts), m)
+    counts = [S.shape[0] for S in starts]
+    if m > 1:
+        T = _newton_rows(
+            m,
+            degree,
+            np.stack([mo.points for mo in models]),
+            np.concatenate([X for X, _ in points]),
+            T,
+            cfg,
+            np.repeat(np.arange(len(models)), counts),
+        )
+    Ts = np.split(T, np.cumsum(counts)[:-1])
+    return [T[0] if single else T for T, (_, single) in zip(Ts, points)]
 
-    def residuals(Tv, Xv):
-        return weighted_design_matrix(m, degree, Tv) @ P - Xv
 
-    R = residuals(T, X)  # b(t) - x at every row's current iterate
+def _newton_rows(m: int, degree: int, P, X, T, cfg: FitConfig, owner=None) -> np.ndarray:
+    """The batched Newton iteration of project_parameter.
+
+    `P` is one control net, or a stack of nets with `owner` the sorted net
+    index of each row (see bezier.partial_derivatives). Only the products
+    with a net depend on more than the row itself.
+    """
+
+    def derivatives(Tv, rows, order):
+        return partial_derivatives(m, degree, P, Tv, order, None if owner is None else owner[rows])
+
+    def residuals(Tv, rows):  # b(t) - x
+        return derivatives(Tv, rows, 0) - X[rows]
+
+    active = np.arange(T.shape[0])
+    R = residuals(T, active)  # at every row's current iterate
     best_T, best_g = T.copy(), np.sum(R * R, axis=1)
     stalled = np.zeros(T.shape[0], dtype=int)
-    active = np.arange(T.shape[0])
     for _ in range(cfg.max_newton_iters):
         if active.size == 0:
             break
-        t, x, r = T[active], X[active], R[active]
-        jac = partial_derivatives(m, degree, P, t, 1)  # (k, A, m)
+        t, r = T[active], R[active]
+        jac = derivatives(t, active, 1)  # (k, A, m)
         resid = np.einsum("kaj,ka->kj", jac, r)
         going = ~(np.sqrt(np.sum(resid * resid, axis=1)) <= cfg.newton_tol)
-        active, t, x, r, jac, resid = (a[going] for a in (active, t, x, r, jac, resid))
+        active, t, r, jac, resid = (a[going] for a in (active, t, r, jac, resid))
         if active.size == 0:
             break
-        hess = partial_derivatives(m, degree, P, t, 2)  # (k, A, m, m)
+        hess = derivatives(t, active, 2)  # (k, A, m, m)
         g_now = np.sum(r * r, axis=1)
         grad = 2.0 * resid
         hg = 2.0 * (
@@ -238,7 +296,7 @@ def _newton_rows(model: BezierSimplex, X, T, cfg: FitConfig) -> np.ndarray:
             if todo.size == 0:
                 break
             cand, ok = _clamp_renorm(t[todo] + alpha * direction[todo])
-            rc = residuals(cand[ok], x[todo][ok])
+            rc = residuals(cand[ok], active[todo[ok]])
             ok[ok] = np.sum(rc * rc, axis=1) < g_now[todo][ok]
             t_new[todo[ok]] = cand[ok]
             found[todo[ok]] = True
@@ -248,7 +306,7 @@ def _newton_rows(model: BezierSimplex, X, T, cfg: FitConfig) -> np.ndarray:
         moved = found & (np.max(np.abs(t_new - t), axis=1) > 1e-15)
         active, t_new = active[moved], t_new[moved]
         T[active] = t_new
-        R[active] = residuals(t_new, X[active])
+        R[active] = residuals(t_new, active)
         g = np.sum(R[active] ** 2, axis=1)
         better = g < best_g[active]
         best_T[active[better]] = t_new[better]
@@ -297,24 +355,74 @@ def sse(model: BezierSimplex, X, T) -> float:
     return float(np.sum(r * r))
 
 
-def _alternate(model, X, cfg, free):
-    """Shared alternating loop: project all parameters, then solve the free
-    control points; stop when the per-point improvement of sqrt(SSR) falls
-    below cfg.outer_tol or the iteration cap is reached."""
-    n = X.shape[0]
-    T = init_parameters(model, X, cfg)
-    trace = [sse(model, X, T)]
-    iterations = 0
+def _alternate(models, Xs, cfg, frees) -> list:
+    """Shared alternating loop over a batch of independent fits that share m,
+    degree and ambient dimension, advanced in lockstep.
+
+    Each outer iteration projects the parameters of every running fit in one
+    project_parameter call, then solves each fit's free control points on its
+    own. A fit stops when its per-point improvement of sqrt(SSR) falls below
+    cfg.outer_tol or at the iteration cap, and then leaves the batch; what
+    each fit computes is what it would compute alone. Returns, per fit,
+    (model, T, trace, iterations), or the exception that ended it: errors
+    are kept, not raised, so that the caller can raise the first in its own
+    order, as if the fits had run one after another.
+    """
+    models, frees = list(models), list(frees)
+    out: list = [None] * len(models)
+    Ts, traces = [None] * len(models), [None] * len(models)
+    running = []
+    for i, (model, X) in enumerate(zip(models, Xs)):
+        try:
+            Ts[i] = init_parameters(model, X, cfg)
+            traces[i] = [sse(model, X, Ts[i])]
+            running.append(i)
+        except Exception as exc:
+            out[i] = exc
     for _ in range(cfg.max_outer_iters):
-        T = project_parameter(model, X, T, cfg)
-        model = solve_control_points(X, T, model, free)
-        current = sse(model, X, T)
-        previous = trace[-1]
-        trace.append(current)
-        iterations += 1
-        if (math.sqrt(previous) - math.sqrt(current)) / n <= cfg.outer_tol:
+        if not running:
             break
-    return model, T, trace, iterations
+        try:
+            if len(running) == 1:
+                (i,) = running
+                projected = [project_parameter(models[i], Xs[i], Ts[i], cfg)]
+            else:
+                projected = project_parameter(
+                    tuple(models[i] for i in running),
+                    tuple(Xs[i] for i in running),
+                    tuple(Ts[i] for i in running),
+                    cfg,
+                )
+        except Exception as exc:
+            for i in running:
+                out[i] = exc
+            break
+        still = []
+        for i, T in zip(running, projected):
+            X, trace = Xs[i], traces[i]
+            Ts[i] = T
+            try:
+                models[i] = solve_control_points(X, T, models[i], frees[i])
+                current = sse(models[i], X, T)
+            except Exception as exc:
+                out[i] = exc
+                continue
+            previous = trace[-1]
+            trace.append(current)
+            if not ((math.sqrt(previous) - math.sqrt(current)) / X.shape[0] <= cfg.outer_tol):
+                still.append(i)
+        running = still
+    for i, trace in enumerate(traces):
+        if out[i] is None:
+            out[i] = (models[i], Ts[i], trace, len(trace) - 1)
+    return out
+
+
+def _fitted(outcome):
+    """One fit's (model, T, trace, iterations) from _alternate, or its error."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def fit_all_at_once(S: SampleSet, vertex_optima, cfg: FitConfig) -> FitResult:
@@ -327,7 +435,8 @@ def fit_all_at_once(S: SampleSet, vertex_optima, cfg: FitConfig) -> FitResult:
         raise DimensionError(
             f"corner points live in R^{model.ambient} but samples in R^{X.shape[1]}"
         )
-    model, T, trace, iterations = _alternate(model, X, cfg, set(model.indices))
+    (outcome,) = _alternate([model], [X], cfg, [set(model.indices)])
+    model, T, trace, iterations = _fitted(outcome)
     log.info("all-at-once fit: %d outer iterations, SSR %.3e", iterations, trace[-1])
     return FitResult(model, T, tuple(trace), iterations)
 
@@ -339,9 +448,14 @@ def fit_inductive_skeleton(
 
     For each face the alternating loop runs on the face's own sub-model with
     only the face-interior control points free, against that face's
-    subsample. Missing or empty subsamples for a vertex raise; for larger
-    faces the interior points keep their grid initialization and a warning is
-    recorded in the per-face report.
+    subsample. Faces of one cardinality depend only on the frozen lower
+    faces, so they run as one batch of `_alternate`, in lockstep: one
+    projection call per outer iteration covers every face still running,
+    and each face keeps its own solve, stopping test and iteration count.
+    The result is the same as fitting the faces one after another. Missing
+    or empty subsamples for a vertex raise; for larger faces the interior
+    points keep their grid initialization and a warning is recorded in the
+    per-face report. Reports, log lines and errors follow face order.
     """
     V = np.atleast_2d(np.asarray(vertex_optima, dtype=float))
     m = V.shape[0]
@@ -349,34 +463,49 @@ def fit_inductive_skeleton(
     report: dict[tuple[int, ...], FaceReport] = {}
     last_trace = [0.0]
     max_iters = 0
-    for face in enumerate_faces(m, min(cfg.degree, m) if cfg.degree >= 1 else 1):
-        _, interior = face_indices(m, cfg.degree, face)
-        if not interior:
-            continue
-        S_face = decomposed.get(face)
-        n_points = 0 if S_face is None else S_face.n
-        if n_points == 0:
-            label = face_label(face)
-            if len(face) == 1:
-                raise InsufficientDataError(f"no sample for vertex face {label}")
-            log.warning("face %s has no subsample; keeping grid initialization", label)
-            report[face] = FaceReport(0, float("nan"), 0, len(interior), "empty subsample")
-            continue
-        X = S_face.ambient()
-        if X.shape[1] != model.ambient:
-            raise DimensionError(
-                f"face sample lives in R^{X.shape[1]}, model in R^{model.ambient}"
-            )
-        sub = model.restrict(face)
-        free_sub = {tuple(d[j] for j in face) for d in interior}
-        sub, _, trace, iterations = _alternate(sub, X, cfg, free_sub)
+    faces = enumerate_faces(m, min(cfg.degree, m) if cfg.degree >= 1 else 1)
+    for _, same_size in groupby(faces, key=len):
+        # per face (face, interior, what): what is the error the face raises,
+        # None for an empty face, or the face's position in the batch of fits
+        plan = []
+        models, Xs, frees = [], [], []
+        for face in same_size:
+            _, interior = face_indices(m, cfg.degree, face)
+            if not interior:
+                continue
+            S_face = decomposed.get(face)
+            X = None if S_face is None or S_face.n == 0 else S_face.ambient()
+            if X is None:
+                what = None
+                if len(face) == 1:
+                    what = InsufficientDataError(f"no sample for vertex face {face_label(face)}")
+            elif X.shape[1] != model.ambient:
+                what = DimensionError(
+                    f"face sample lives in R^{X.shape[1]}, model in R^{model.ambient}"
+                )
+            else:
+                what = len(models)
+                models.append(model.restrict(face))
+                Xs.append(X)
+                frees.append({tuple(d[j] for j in face) for d in interior})
+            plan.append((face, interior, what))
+        outcomes = _alternate(models, Xs, cfg, frees)
         pts = model.points.copy()
-        for d in interior:
-            sub_row = sub.index_row(tuple(d[j] for j in face))
-            pts[model.index_row(d)] = sub.points[sub_row]
+        for face, interior, what in plan:
+            if isinstance(what, Exception):
+                raise what
+            if what is None:
+                log.warning(
+                    "face %s has no subsample; keeping grid initialization", face_label(face)
+                )
+                report[face] = FaceReport(0, float("nan"), 0, len(interior), "empty subsample")
+                continue
+            sub, _, trace, iterations = _fitted(outcomes[what])
+            for d in interior:
+                pts[model.index_row(d)] = sub.control_point(tuple(d[j] for j in face))
+            report[face] = FaceReport(iterations, trace[-1], Xs[what].shape[0], len(interior))
+            last_trace = trace
+            max_iters = max(max_iters, iterations)
         model = model.with_points(pts)
-        report[face] = FaceReport(iterations, trace[-1], n_points, len(interior))
-        last_trace = trace
-        max_iters = max(max_iters, iterations)
     log.info("skeleton fit: %d faces, max %d outer iterations", len(report), max_iters)
     return FitResult(model, None, tuple(last_trace), max_iters, report)

@@ -119,9 +119,19 @@ def score(sample_points: np.ndarray, validation_points: np.ndarray, normalize: b
     return gd_igd(sample_points, validation_points)
 
 
-def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialRow]:
+def _data_failure(cfg: ExperimentConfig, trial: int, exc: Exception) -> list[TrialRow]:
+    log.warning("trial %d data generation failed: %s", trial, exc)
+    return [
+        TrialRow(cfg.problem, method, cfg.sizes, trial, None, None, None, str(exc))
+        for method in cfg.methods
+    ]
+
+
+def run_trial(cfg: ExperimentConfig, trial: int, problem=None) -> list[TrialRow]:
+    """One trial's rows; `problem` is cfg.problem resolved, looked up if None."""
     try:
-        problem = get_problem(cfg.problem)
+        if problem is None:
+            problem = get_problem(cfg.problem)
         training, validation = make_training_set(
             problem,
             cfg.sizes,
@@ -132,11 +142,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialRow]:
         )
         vertices = vertex_optima_from(training, validation.m)
     except Exception as exc:
-        log.warning("trial %d data generation failed: %s", trial, exc)
-        return [
-            TrialRow(cfg.problem, method, cfg.sizes, trial, None, None, None, str(exc))
-            for method in cfg.methods
-        ]
+        return _data_failure(cfg, trial, exc)
     val_points = validation.ambient()
     rows = []
     for method in cfg.methods:
@@ -152,29 +158,49 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialRow]:
     return rows
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[TrialRow]:
-    """All trials for all methods; rows sorted by (method, trial)."""
+def run_experiment(cfg: ExperimentConfig, problem=None) -> list[TrialRow]:
+    """All trials for all methods; rows sorted by (method, trial).
+
+    The problem is resolved once (pass it as `problem` if already resolved);
+    if that fails, every trial records the failure in its rows.
+    """
+    if problem is None:
+        try:
+            problem = get_problem(cfg.problem)
+        except Exception as exc:
+            failed = [_data_failure(cfg, t, exc) for t in range(cfg.trials)]
+            return _sorted_rows(cfg, failed)
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(lambda t: run_trial(cfg, t), range(cfg.trials)))
+            chunks = list(pool.map(lambda t: run_trial(cfg, t, problem), range(cfg.trials)))
     else:
-        chunks = [run_trial(cfg, t) for t in range(cfg.trials)]
+        chunks = [run_trial(cfg, t, problem) for t in range(cfg.trials)]
+    return _sorted_rows(cfg, chunks)
+
+
+def _sorted_rows(cfg: ExperimentConfig, chunks) -> list[TrialRow]:
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (cfg.methods.index(r.method), r.trial))
     return rows
 
 
-def run_sweep(cfg: ExperimentConfig, n3_values) -> list[TrialRow]:
-    """Repeat the experiment over a range of three-objective subsample sizes."""
+def run_sweep(cfg: ExperimentConfig, n3_values, problem=None) -> list[TrialRow]:
+    """Repeat the experiment over a range of three-objective subsample sizes.
+
+    Only N3 changes: sizes (N1, N2, N3, N4, ...) become (N1, N2, n3, N4, ...).
+    """
     if len(cfg.sizes) < 2:
         raise ValueError("a sweep over N3 needs sizes (N1, N2, ...)")
-    m = get_problem(cfg.problem).n_objectives
+    if problem is None:
+        problem = get_problem(cfg.problem)
+    m = problem.n_objectives
     if m < 3:
         raise ValueError(f"a sweep over N3 needs at least three objectives; {cfg.problem} has {m}")
+    head, tail = tuple(cfg.sizes[:2]), tuple(cfg.sizes[3:])
     rows = []
     for n3 in n3_values:
-        sizes = (cfg.sizes[0], cfg.sizes[1], int(n3))
-        rows.extend(run_experiment(replace(cfg, sizes=sizes)))
+        sizes = head + (int(n3),) + tail
+        rows.extend(run_experiment(replace(cfg, sizes=sizes), problem))
     return rows
 
 

@@ -494,3 +494,29 @@ def test_log_env_var_sets_level(tmp_path, monkeypatch, capsys):
     save_sample(SampleSet(np.random.default_rng(8).uniform(size=(5, 2))), sample)
     assert run_cli("plot", sample, "--out", tmp_path / "f.svg") == 0
     assert logging.getLogger().level == logging.DEBUG
+
+
+def test_experiment_sweep_replaces_only_n3(tmp_path):
+    # sizes after N3 stay: a one-point sweep at N3 = 3 over 1,2,3,4 is the
+    # plain 1,2,3,4 experiment, four-objective face sample included
+    common = ["experiment", "--problem", "medM:4", "--method", "inductive", "--sizes", "1,2,3,4",
+              "--trials", "1", "--seed", "2", "--validation", "60"]
+    assert run_cli(*common, "--sweep-n3", "3:3", "--out", tmp_path / "sweep") == 0
+    assert run_cli(*common, "--out", tmp_path / "plain") == 0
+    assert read_all(tmp_path / "sweep") == read_all(tmp_path / "plain")
+    with (tmp_path / "sweep" / "results.csv").open() as fh:
+        assert [r["sizes"] for r in csv.DictReader(fh)] == ["1-2-3-4"]
+
+
+def test_experiment_reads_a_file_problem_once(tmp_path, monkeypatch):
+    import bsf.problems
+
+    _, objectives_only = _front_files(tmp_path)
+    reads = []
+    original = bsf.problems.load_sample
+    monkeypatch.setattr(bsf.problems, "load_sample", lambda path: reads.append(path) or original(path))
+    assert run_cli(
+        "experiment", "--problem", f"file:{objectives_only}", "--method", "inductive",
+        "--trials", "3", "--sweep-n3", "1:2", "--out", tmp_path / "x",
+    ) == 0
+    assert len(reads) == 1

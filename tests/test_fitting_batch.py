@@ -1,0 +1,389 @@
+"""The lockstep batch: faces of one cardinality fitted together must give the
+bits of fitting them one after another, and a tuple projection the bits of
+one projection per model.
+
+The references below are the per-face loop and the single-net Newton
+iteration that the batch replaced, kept verbatim apart from names.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from bsf import fitting
+from bsf.bezier import (
+    BezierSimplex,
+    as_barycentric_rows,
+    embed_on_face,
+    face_indices,
+    multi_indices,
+    partial_derivatives,
+    weighted_design_matrix,
+)
+from bsf.errors import DimensionError, InsufficientDataError
+from bsf.fitting import (
+    FitConfig,
+    _clamp_renorm,
+    _solve_rows,
+    fit_all_at_once,
+    fit_inductive_skeleton,
+    init_parameters,
+    initialize_control_net,
+    project_parameter,
+    solve_control_points,
+    sse,
+)
+from bsf.harness import vertex_optima_from
+from bsf.pareto import SampleSet, enumerate_faces, face_label
+from bsf.problems import get_problem, make_training_set
+
+# -- references: one Newton batch per model, one alternating loop per face -------------
+
+
+def reference_newton_rows(model, X, T, cfg):
+    m, degree, P = model.m, model.degree, model.points
+
+    def residuals(Tv, Xv):
+        return weighted_design_matrix(m, degree, Tv) @ P - Xv
+
+    R = residuals(T, X)
+    best_T, best_g = T.copy(), np.sum(R * R, axis=1)
+    stalled = np.zeros(T.shape[0], dtype=int)
+    active = np.arange(T.shape[0])
+    for _ in range(cfg.max_newton_iters):
+        if active.size == 0:
+            break
+        t, x, r = T[active], X[active], R[active]
+        jac = partial_derivatives(m, degree, P, t, 1)
+        resid = np.einsum("kaj,ka->kj", jac, r)
+        going = ~(np.sqrt(np.sum(resid * resid, axis=1)) <= cfg.newton_tol)
+        active, t, x, r, jac, resid = (a[going] for a in (active, t, x, r, jac, resid))
+        if active.size == 0:
+            break
+        hess = partial_derivatives(m, degree, P, t, 2)
+        g_now = np.sum(r * r, axis=1)
+        grad = 2.0 * resid
+        hg = 2.0 * (
+            np.einsum("kai,kaj->kij", jac, jac) + np.einsum("ka,kaij->kij", r, hess)
+        )
+        gu = grad[:, :-1] - grad[:, -1:]
+        hu = hg[:, :-1, :-1] - hg[:, :-1, -1:] - hg[:, -1:, :-1] + hg[:, -1:, -1:]
+        step = _solve_rows(hu, -gu)
+        step[~np.all(np.isfinite(step), axis=1)] = np.nan
+        step = np.append(step, -step.sum(axis=1, keepdims=True), axis=1)
+        t_new, found = _clamp_renorm(t + step)
+        direction = np.append(-gu, gu.sum(axis=1, keepdims=True), axis=1)
+        alpha = 1.0
+        for _ in range(20):
+            todo = np.flatnonzero(~found)
+            if todo.size == 0:
+                break
+            cand, ok = _clamp_renorm(t[todo] + alpha * direction[todo])
+            rc = residuals(cand[ok], x[todo][ok])
+            ok[ok] = np.sum(rc * rc, axis=1) < g_now[todo][ok]
+            t_new[todo[ok]] = cand[ok]
+            found[todo[ok]] = True
+            alpha *= 0.5
+        moved = found & (np.max(np.abs(t_new - t), axis=1) > 1e-15)
+        active, t_new = active[moved], t_new[moved]
+        T[active] = t_new
+        R[active] = residuals(t_new, X[active])
+        g = np.sum(R[active] ** 2, axis=1)
+        better = g < best_g[active]
+        best_T[active[better]] = t_new[better]
+        best_g[active[better]] = g[better]
+        stalled[active[better]] = 0
+        stalled[active[~better]] += 1
+        active = active[stalled[active] < 5]
+    return best_T
+
+
+def reference_project(model, x, t0, cfg):
+    X = np.asarray(x, dtype=float)
+    single = X.ndim == 1
+    X = np.atleast_2d(X)
+    T = as_barycentric_rows(t0, model.m)
+    if model.m > 1:
+        T = reference_newton_rows(model, X, T, cfg)
+    return T[0] if single else T
+
+
+def reference_alternate(model, X, cfg, free):
+    n = X.shape[0]
+    T = init_parameters(model, X, cfg)
+    trace = [sse(model, X, T)]
+    iterations = 0
+    for _ in range(cfg.max_outer_iters):
+        T = reference_project(model, X, T, cfg)
+        model = solve_control_points(X, T, model, free)
+        current = sse(model, X, T)
+        previous = trace[-1]
+        trace.append(current)
+        iterations += 1
+        if (math.sqrt(previous) - math.sqrt(current)) / n <= cfg.outer_tol:
+            break
+    return model, T, trace, iterations
+
+
+def reference_skeleton(decomposed, vertex_optima, cfg):
+    V = np.atleast_2d(np.asarray(vertex_optima, dtype=float))
+    m = V.shape[0]
+    model = initialize_control_net(V, cfg.degree)
+    report = {}
+    last_trace = [0.0]
+    max_iters = 0
+    for face in enumerate_faces(m, min(cfg.degree, m) if cfg.degree >= 1 else 1):
+        _, interior = face_indices(m, cfg.degree, face)
+        if not interior:
+            continue
+        S_face = decomposed.get(face)
+        n_points = 0 if S_face is None else S_face.n
+        if n_points == 0:
+            if len(face) == 1:
+                raise InsufficientDataError(f"no sample for vertex face {face_label(face)}")
+            report[face] = fitting.FaceReport(0, float("nan"), 0, len(interior), "empty subsample")
+            continue
+        X = S_face.ambient()
+        if X.shape[1] != model.ambient:
+            raise DimensionError(f"face sample lives in R^{X.shape[1]}, model in R^{model.ambient}")
+        sub = model.restrict(face)
+        free_sub = {tuple(d[j] for j in face) for d in interior}
+        sub, _, trace, iterations = reference_alternate(sub, X, cfg, free_sub)
+        pts = model.points.copy()
+        for d in interior:
+            pts[model.index_row(d)] = sub.points[sub.index_row(tuple(d[j] for j in face))]
+        model = model.with_points(pts)
+        report[face] = fitting.FaceReport(iterations, trace[-1], n_points, len(interior))
+        last_trace = trace
+        max_iters = max(max_iters, iterations)
+    return model, tuple(last_trace), max_iters, report
+
+
+def bits(value) -> bytes:
+    """Bytes of a float array or sequence, so NaN compares equal to itself."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def assert_same_reports(ours, ref):
+    assert list(ours) == list(ref)
+    for face in ref:
+        a, b = ours[face], ref[face]
+        assert (a.iterations, a.n_points, a.free_points, a.warning) == (
+            b.iterations, b.n_points, b.free_points, b.warning
+        )
+        assert bits(a.ssr) == bits(b.ssr)
+
+
+# -- fits --------------------------------------------------------------------------
+
+
+def noisy_face_training(m, degree, ambient, sizes, noise, seed):
+    """Per-face samples of a perturbed net plus noise; `sizes` maps each face
+    to its point count (0 leaves the face out or empty)."""
+    rng = np.random.default_rng(seed)
+    V = np.vstack([np.eye(m), np.zeros((max(ambient - m, 0), m))]).T[:, :ambient] * 2.0
+    V = V + rng.normal(scale=0.05, size=V.shape)
+    net = initialize_control_net(V, degree)
+    true = net.with_points(net.points + rng.normal(scale=0.1, size=net.points.shape))
+    training = {}
+    for face, n in sizes.items():
+        if n == 0:
+            if rng.random() < 0.5:
+                training[face] = SampleSet(np.zeros((0, ambient)))
+            continue
+        s = rng.dirichlet(np.ones(len(face)), size=n)
+        X = true.evaluate_batch(embed_on_face(s, face, m))
+        training[face] = SampleSet(X + rng.normal(scale=noise, size=X.shape))
+    return training, V
+
+
+@st.composite
+def skeleton_cases(draw):
+    m = draw(st.integers(2, 5))
+    degree = draw(st.integers(0, 4))
+    ambient = draw(st.integers(max(m - 1, 1), m + 1))
+    faces = list(enumerate_faces(m, min(degree, m) if degree >= 1 else 1))
+    sizes = {
+        face: draw(st.integers(1, 3) if len(face) == 1 else st.integers(0, 12))
+        for face in faces
+    }
+    noise = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+    cfg = FitConfig(
+        degree=degree,
+        max_outer_iters=draw(st.sampled_from([1, 2, 4, 25])),
+        max_newton_iters=draw(st.sampled_from([2, 100])),
+        outer_tol=draw(st.sampled_from([1e-5, 1e-9])),
+    )
+    return m, degree, ambient, sizes, noise, cfg, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(skeleton_cases())
+def test_skeleton_batch_matches_per_face_reference(case):
+    m, degree, ambient, sizes, noise, cfg, seed = case
+    training, V = noisy_face_training(m, degree, ambient, sizes, noise, seed)
+    res = fit_inductive_skeleton(training, V, cfg)
+    model, trace, iterations, report = reference_skeleton(training, V, cfg)
+    assert bits(res.model.points) == bits(model.points)
+    assert bits(res.ssr_trace) == bits(trace)
+    assert res.outer_iterations == iterations
+    assert_same_reports(res.per_face_report, report)
+
+
+@settings(max_examples=20, deadline=None)
+@given(skeleton_cases())
+def test_all_at_once_is_a_batch_of_one(case):
+    m, degree, _, sizes, noise, cfg, seed = case
+    training, V = noisy_face_training(m, degree, m, sizes, noise, seed)  # samples in R^m
+    union = SampleSet.concat(training.values())
+    res = fit_all_at_once(union, V, cfg)
+    model = initialize_control_net(V, cfg.degree)
+    model, T, trace, iterations = reference_alternate(
+        model, union.ambient(), cfg, set(model.indices)
+    )
+    assert bits(res.model.points) == bits(model.points)
+    assert bits(res.parameters) == bits(T)
+    assert bits(res.ssr_trace) == bits(trace)
+    assert res.outer_iterations == iterations
+
+
+def test_faces_of_one_size_stop_at_different_iterations():
+    # exact data on one edge stops early, noisy data on the others runs on;
+    # the batch must still reproduce every face's own count
+    sizes = {(0,): 1, (1,): 1, (2,): 1, (0, 1): 6, (0, 2): 9, (1, 2): 4, (0, 1, 2): 7}
+    training, V = noisy_face_training(3, 3, 3, sizes, 0.02, seed=3)
+    exact, _ = noisy_face_training(3, 3, 3, sizes, 0.0, seed=3)
+    training[(0, 1)] = exact[(0, 1)]
+    cfg = FitConfig(degree=3)
+    res = fit_inductive_skeleton(training, V, cfg)
+    _, _, _, report = reference_skeleton(training, V, cfg)
+    assert_same_reports(res.per_face_report, report)
+    edges = [report[f].iterations for f in [(0, 1), (0, 2), (1, 2)]]
+    assert len(set(edges)) > 1
+
+
+def test_first_error_in_face_order_wins():
+    sizes = {(0,): 1, (1,): 1, (2,): 1, (0, 1): 3, (0, 2): 3, (1, 2): 3, (0, 1, 2): 2}
+    training, V = noisy_face_training(3, 3, 3, sizes, 0.01, seed=4)
+    del training[(1,)]
+    with pytest.raises(InsufficientDataError, match="vertex face 2"):
+        fit_inductive_skeleton(training, V, FitConfig())
+    training, V = noisy_face_training(3, 3, 3, sizes, 0.01, seed=4)
+    training[(0, 2)] = SampleSet(np.zeros((2, 4)))
+    training[(1, 2)] = SampleSet(np.zeros((2, 5)))
+    with pytest.raises(DimensionError, match="R\\^4"):
+        fit_inductive_skeleton(training, V, FitConfig())
+
+
+def test_first_fit_error_in_face_order_wins(monkeypatch):
+    # edge 1-3 fails in its first solve, edge 1-2 only in its third; fitted
+    # one after another, edge 1-2 fails first, and so it must in the batch
+    sizes = {(0,): 1, (1,): 1, (2,): 1, (0, 1): 5, (0, 2): 6, (1, 2): 7}
+    training, V = noisy_face_training(3, 3, 3, sizes, 0.05, seed=4)
+    _, _, _, report = reference_skeleton(training, V, FitConfig())
+    assert report[(0, 1)].iterations >= 3
+    original = fitting.solve_control_points
+    solves = {}
+
+    def failing(X, T, model, free):
+        n = X.shape[0]  # the edges differ in their point counts
+        solves[n] = solves.get(n, 0) + 1
+        if (n, solves[n]) in {(5, 3), (6, 1)}:
+            raise ValueError(f"solve failed on {n} points")
+        return original(X, T, model, free)
+
+    monkeypatch.setattr(fitting, "solve_control_points", failing)
+    with pytest.raises(ValueError, match="on 5 points"):
+        fit_inductive_skeleton(training, V, FitConfig())
+
+
+# -- tuple projection ---------------------------------------------------------------
+
+
+def assert_tuple_matches_single_calls(models, xs, t0s, cfg):
+    batched = project_parameter(tuple(models), tuple(xs), tuple(t0s), cfg)
+    assert isinstance(batched, list) and len(batched) == len(models)
+    for model, x, t0, T in zip(models, xs, t0s, batched):
+        alone = project_parameter(model, x, t0, cfg)
+        assert T.shape == alone.shape
+        assert bits(T) == bits(alone)
+        assert bits(alone) == bits(reference_project(model, x, t0, cfg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(0, 4), st.integers(1, 4),
+    st.lists(st.integers(-1, 6), min_size=1, max_size=5), st.integers(0, 2**32 - 1),
+)
+# a block product on a non-contiguous slice of the stacked nets skips BLAS
+# and changed the last bit here
+@example(2, 2, 1, [0, 1], 98)
+def test_tuple_projection_matches_per_model_calls(m, degree, ambient, counts, seed):
+    # a count of -1 stands for one 1-d point
+    rng = np.random.default_rng(seed)
+    K = len(multi_indices(m, degree))
+    models = [BezierSimplex(m, degree, rng.normal(size=(K, ambient))) for _ in counts]
+    xs = [rng.normal(size=ambient) if n < 0 else rng.normal(size=(n, ambient)) for n in counts]
+    t0s = [
+        rng.dirichlet(np.ones(m)) if n < 0 else rng.dirichlet(np.ones(m), size=n) for n in counts
+    ]
+    assert_tuple_matches_single_calls(models, xs, t0s, FitConfig(degree=degree))
+
+
+def test_tuple_projection_with_a_singular_model():
+    # b(t) = t_1^2: at t = (1/2, 1/2) the reduced Newton matrix is exactly
+    # zero, so the stacked solve falls back to row-by-row solves for every
+    # model in the call, and the other models' rows must not notice
+    singular = BezierSimplex(2, 2, [[1.0], [0.0], [0.0]])
+    regular = BezierSimplex(2, 2, [[1.0], [0.3], [-0.2]])
+    xs = [np.array([0.75]), np.array([[0.2], [0.6], [-0.1]])]
+    t0s = [np.array([0.5, 0.5]), np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])]
+    for cfg in (FitConfig(degree=2, newton_tol=1e-10), FitConfig(degree=2, max_newton_iters=2)):
+        assert_tuple_matches_single_calls([singular, regular], xs, t0s, cfg)
+        assert_tuple_matches_single_calls([regular, singular], xs[::-1], t0s[::-1], cfg)
+
+
+def test_tuple_projection_rejects_mixed_models():
+    a = BezierSimplex(2, 2, np.zeros((3, 1)))
+    b = BezierSimplex(2, 1, np.zeros((2, 1)))
+    c = BezierSimplex(2, 2, np.zeros((3, 2)))
+    cfg = FitConfig()
+    for other in (b, c):
+        with pytest.raises(DimensionError):
+            project_parameter((a, other), (np.zeros(1), np.zeros(1)), ([1, 0], [1, 0]), cfg)
+    with pytest.raises(DimensionError):
+        project_parameter((a, a), (np.zeros((2, 1)), np.zeros((1, 1))), ([1, 0], [1, 0]), cfg)
+    with pytest.raises(DimensionError):
+        project_parameter((a,), (np.zeros(1), np.zeros(1)), ([1, 0],), cfg)
+    assert project_parameter((), (), (), cfg) == []
+
+
+# -- the batch is what runs ---------------------------------------------------------
+
+
+def test_one_projection_call_per_cardinality_iteration(monkeypatch):
+    # med5 (1, 2, 10): ten edges and ten triangles. One call per outer
+    # iteration of each cardinality, however many faces are still running;
+    # a loop per face would make one call per face iteration instead
+    training, validation = make_training_set(get_problem("med5"), (1, 2, 10), seed=7,
+                                             validation_size=50)
+    V = vertex_optima_from(training, validation.m)
+    calls = []
+    original = fitting.project_parameter
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "project_parameter", counting)
+    res = fit_inductive_skeleton(training, V, FitConfig(degree=3))
+    longest = {}
+    for face, r in res.per_face_report.items():
+        longest[len(face)] = max(longest.get(len(face), 0), r.iterations)
+    assert sorted(longest) == [1, 2, 3]
+    assert len(calls) == sum(longest.values())
+    per_face = sum(r.iterations for r in res.per_face_report.values())
+    assert len(calls) < per_face
+    assert any(isinstance(c, tuple) and len(c) == 10 for c in calls)

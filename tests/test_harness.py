@@ -128,3 +128,34 @@ def test_sweep_varies_n3():
     rows = run_sweep(cfg, [1, 3])
     assert {r.sizes for r in rows} == {(1, 2, 1), (1, 2, 3)}
     assert len(rows) == 4
+
+
+def test_problem_resolved_once_per_experiment_and_sweep(tmp_path, monkeypatch):
+    import bsf.problems
+    from bsf.pareto import save_sample
+
+    _, validation = make_training_set(get_problem("med3"), (1, 2, 1), seed=0, validation_size=150)
+    path = tmp_path / "front.csv"
+    save_sample(validation, path)
+    reads = []
+    original = bsf.problems.load_sample
+    monkeypatch.setattr(bsf.problems, "load_sample", lambda p: reads.append(p) or original(p))
+    cfg = ExperimentConfig(f"file:{path}", ("inductive",), trials=3, seed=0, validation_size=50)
+    rows = run_experiment(cfg)
+    assert len(rows) == 3 and all(r.error is None for r in rows)
+    assert len(reads) == 1
+    rows = run_sweep(cfg, [1, 2])
+    assert len(rows) == 6 and all(r.error is None for r in rows)
+    assert len(reads) == 2
+
+
+@pytest.mark.parametrize("name", ["no-such-problem", "file:/nonexistent/front.csv"])
+def test_unresolvable_problem_recorded_per_row(name):
+    with pytest.raises(Exception) as info:
+        get_problem(name)
+    cfg = ExperimentConfig(name, ("inductive", "all-at-once"), trials=2, seed=0)
+    rows = run_experiment(cfg)
+    assert [(r.method, r.trial) for r in rows] == [
+        ("inductive", 0), ("inductive", 1), ("all-at-once", 0), ("all-at-once", 1),
+    ]
+    assert all(r.error == str(info.value) and r.gd is None for r in rows)
