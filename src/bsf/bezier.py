@@ -41,6 +41,13 @@ MAX_EXACT_DEGREE = 20
 SUM_TOLERANCE = 1e-12
 REPAIR_TOLERANCE = 1e-9
 
+# OpenBLAS 0.3 runs a GEMM of more than 2^18 multiply-adds, or a GEMV over
+# 2304 * 4 matrix entries or more, on its own threads. Those threads spin on
+# after the call, on the cores that bsf's own kernel threads need.
+_GEMM_LIMIT = 1 << 18
+_GEMV_LIMIT = 2304 * 4 - 1
+_ROW_UNIT = 8
+
 
 def multi_indices(m: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All compositions of `degree` into `m` nonnegative parts.
@@ -86,6 +93,50 @@ def multinomial(degree: int, index: tuple[int, ...]) -> int:
     for d in index:
         coef //= math.factorial(d)
     return coef
+
+
+def _row_blocks(n: int, inner: int, cols: int | None) -> list[int]:
+    """Bounds of the row blocks of an (n, inner) @ (inner, cols) product, or
+    of an (n, inner) @ (inner,) one when `cols` is None.
+
+    Every block stays within OpenBLAS's one-thread limit, and every block but
+    the last has a multiple of `_ROW_UNIT` rows. OpenBLAS's kernels take the
+    rows in groups of up to that many and finish a call's last rows with a
+    narrower kernel, whose sums round differently; so these blocks give each
+    row the kernel that one product gives it. No block has 1 row: numpy sends
+    a (1, K) @ (K, A) down a vector path, which differs too. A product that
+    fits whole, or of which 2 units of rows do not fit, is one block.
+
+    The bits are those of one product on one BLAS thread, with one measured
+    exception: OpenBLAS for SkylakeX runs products of at most 10^6
+    multiply-adds in a small-matrix kernel, so the blocks of a larger product
+    meet a kernel the whole product does not, and for some widths (2-4 and
+    9-12 of 2-16 tried, with K >= 20) it rounds differently. A med5 `--graph`
+    grid sample, 10,626 x 35 @ 35 x 10, is such a product.
+    """
+    per_row = inner if cols is None else inner * cols
+    limit = (_GEMV_LIMIT if cols is None else _GEMM_LIMIT) // max(per_row, 1)
+    if n <= limit or limit < 2 * _ROW_UNIT:
+        return [0, n]
+    step = limit - limit % _ROW_UNIT
+    bounds = list(range(0, n, step)) + [n]
+    if bounds[-1] - bounds[-2] == 1:  # end on 1 + _ROW_UNIT rows instead
+        bounds[-2] -= _ROW_UNIT
+    return bounds
+
+
+def _blocked_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A @ B for 2-d A, one `_row_blocks` block at a time: the bits of one
+    product (but see `_row_blocks`), without waking OpenBLAS's threads. `out`
+    is as in np.matmul."""
+    bounds = _row_blocks(A.shape[0], A.shape[1], B.shape[1] if B.ndim == 2 else None)
+    if out is None:
+        if len(bounds) == 2:
+            return A @ B
+        out = np.empty((A.shape[0],) + B.shape[1:], dtype=np.result_type(A, B))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.matmul(A[lo:hi], B, out=out[lo:hi])
+    return out
 
 
 def monomials(T, E) -> np.ndarray:
@@ -316,7 +367,7 @@ class BezierSimplex:
 
     def evaluate_batch(self, T) -> np.ndarray:
         T = as_barycentric_rows(T, self.m)
-        return weighted_design_matrix(self.m, self.degree, T) @ self.points
+        return _blocked_matmul(weighted_design_matrix(self.m, self.degree, T), self.points)
 
     def gradient(self, t) -> np.ndarray:
         """Partial derivatives as an (ambient, m) matrix; column j is d b / d t_j.

@@ -54,6 +54,10 @@ class ExperimentConfig:
             raise ValueError("degree must be nonnegative")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if self.resolution < 1:
+            raise ValueError("resolution must be at least 1")
+        if self.validation_size < 1:
+            raise ValueError("validation size must be at least 1")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; valid: {', '.join(METHODS)}")

@@ -14,13 +14,21 @@ candidate's value is an exact pair distance: the minimum is the same number
 the full computation gives. Blocks the bound cannot vouch for (non-finite or
 overflowing coordinates) or where most pairs tie (so that gathering them would
 cost more than the full block) are computed in full with the exact expression.
+
+Large calls split the blocks over one thread per usable CPU (`_min_dists`).
+Pass 1's products run in row blocks that OpenBLAS keeps on the calling thread
+(`bezier._blocked_matmul`), so the cores go to those threads and not to BLAS
+threads that spin between calls.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
-from .bezier import BezierSimplex, barycentric_grid
+from .bezier import BezierSimplex, _blocked_matmul, barycentric_grid
 from .errors import DimensionError
 from .pareto import SampleSet
 
@@ -28,9 +36,24 @@ _BLOCK_ROWS = 256
 _U = np.finfo(float).eps / 2  # unit roundoff
 _ETA = np.finfo(float).smallest_subnormal
 _SQ_LIMIT = np.finfo(float).max / 16
-# OpenBLAS threads a product of more multiply-adds than this; with busy cores a
-# worker thread can stall the call for a scheduler tick, so pass 1 stays below
-_GEMM_SIZE = 1 << 18
+# Pairs each worker thread gets at least. On 2 cores, two threads gained
+# nothing up to 2e7 pairs (med5's 10,626 x 1,000 grid score among them) and
+# 1.3-1.5x from 2.5e7 pairs on, so calls of 2^24 pairs and more split.
+_PAIRS_PER_WORKER = 1 << 23
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(pairs: int) -> int:
+    """Threads for a kernel call over this many pairs: one per CPU, while each
+    gets at least `_PAIRS_PER_WORKER` pairs."""
+    return max(1, min(_cpu_count(), pairs // _PAIRS_PER_WORKER))
 
 
 def grid_sample(model: BezierSimplex, resolution: int) -> SampleSet:
@@ -94,11 +117,19 @@ def _min_dists(X: np.ndarray, Y: np.ndarray, want_cols: bool):
     when more than a quarter of a block's pairs are candidates (mass ties),
     the full block is computed instead, so memory stays within that of the
     full block's (rows, n_Y, A) tensors.
+
+    Large calls split the blocks into contiguous chunks, one per worker
+    thread (`_workers`). A chunk keeps its own running column minima of D,
+    its own N and its own column minima, so the argument above holds within
+    each chunk: both terms of tol, and the earlier blocks a column is
+    compared against, cover that chunk's blocks only. Chunks write their row
+    minima to disjoint slices, and their column minima merge by np.minimum
+    in chunk order, which keeps the first NaN just as one pass over the
+    blocks would. Workers call numpy only.
     """
+    n_x = X.shape[0]
     n_y, ambient = Y.shape
-    row_mins = np.empty(X.shape[0])
-    col_mins = np.full(n_y, np.inf) if want_cols else None
-    col_run = np.full(n_y, np.inf)  # running column minima of D
+    row_mins = np.empty(n_x)
     lo = np.minimum(X.min(axis=0), Y.min(axis=0))
     hi = np.maximum(X.max(axis=0), Y.max(axis=0))
     W = np.empty((ambient + 2, n_y))
@@ -110,45 +141,72 @@ def _min_dists(X: np.ndarray, Y: np.ndarray, want_cols: bool):
         W[ambient] = np.einsum("ij,ij->i", Yc, Yc)
     W[ambient + 1] = 1.0
     y_sq_max = W[ambient].max()
-    x_sq_max = 0.0
     c_tol = 20 * (ambient + 3)
-    gemm_rows = max(1, _GEMM_SIZE // W.size)
-    for start in range(0, X.shape[0], _BLOCK_ROWS):
-        block = X[start : start + _BLOCK_ROWS]
-        rows = slice(start, start + block.shape[0])
-        Xa = np.empty((block.shape[0], ambient + 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(block, centre, out=Xa[:, :ambient])
-            Xa[:, ambient] = 1.0
-            Xa[:, ambient + 1] = np.einsum("ij,ij->i", Xa[:, :ambient], Xa[:, :ambient])
-        bound = np.maximum(x_sq_max, Xa[:, ambient + 1].max())  # NaN propagates
-        flat = None
-        if bound + y_sq_max <= _SQ_LIMIT:
-            x_sq_max = bound
-            tol = c_tol * (_U * (x_sq_max + y_sq_max) + _ETA)
-            D = np.empty((block.shape[0], n_y))
-            for s in range(0, block.shape[0], gemm_rows):
-                np.matmul(Xa[s : s + gemm_rows], W, out=D[s : s + gemm_rows])
-            cand = D <= (D.min(axis=1) + tol)[:, None]
+
+    def chunk(starts):
+        """Row minima of the blocks at `starts` into row_mins; their column minima."""
+        col_mins = np.full(n_y, np.inf) if want_cols else None
+        col_run = np.full(n_y, np.inf)  # running column minima of D
+        x_sq_max = 0.0
+        rows_max = min(_BLOCK_ROWS, n_x)
+        D_buf = np.empty((rows_max, n_y))
+        cand_buf = np.empty((rows_max, n_y), dtype=bool)
+        col_buf = np.empty((rows_max, n_y), dtype=bool) if want_cols else None
+        for start in starts:
+            block = X[start : start + _BLOCK_ROWS]
+            nb = block.shape[0]
+            rows = slice(start, start + nb)
+            Xa = np.empty((nb, ambient + 2))
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.subtract(block, centre, out=Xa[:, :ambient])
+                Xa[:, ambient] = 1.0
+                Xa[:, ambient + 1] = np.einsum("ij,ij->i", Xa[:, :ambient], Xa[:, :ambient])
+            bound = np.maximum(x_sq_max, Xa[:, ambient + 1].max())  # NaN propagates
+            flat = None
+            if bound + y_sq_max <= _SQ_LIMIT:
+                x_sq_max = bound
+                tol = c_tol * (_U * (x_sq_max + y_sq_max) + _ETA)
+                D, cand = D_buf[:nb], cand_buf[:nb]
+                _blocked_matmul(Xa, W, out=D)
+                np.less_equal(D, (D.min(axis=1) + tol)[:, None], out=cand)
+                if want_cols:
+                    np.minimum(col_run, D.min(axis=0), out=col_run)
+                    near_col = np.less_equal(D, col_run + tol, out=col_buf[:nb])
+                    np.logical_or(cand, near_col, out=cand)
+                flat = np.flatnonzero(cand)
+                if 4 * flat.size > nb * n_y:
+                    flat = None  # mostly ties: the full block is cheaper
+            if flat is None:
+                d = _pair_dists(block[:, None, :], Y[None, :, :])
+                row_mins[rows] = d.min(axis=1)
+                if want_cols:
+                    np.minimum(col_mins, d.min(axis=0), out=col_mins)
+                continue
+            ii, jj = np.divmod(flat, n_y)
+            d = _pair_dists(block[ii], Y[jj])
+            # every row has a candidate (its own minimum), and ii is sorted
+            row_mins[rows] = np.minimum.reduceat(d, np.flatnonzero(np.diff(ii, prepend=-1)))
             if want_cols:
-                np.minimum(col_run, D.min(axis=0), out=col_run)
-                cand |= D <= col_run + tol
-            flat = np.flatnonzero(cand)
-            del D, cand
-            if 4 * flat.size > block.shape[0] * n_y:
-                flat = None  # mostly ties: the full block is cheaper
-        if flat is None:
-            d = _pair_dists(block[:, None, :], Y[None, :, :])
-            row_mins[rows] = d.min(axis=1)
-            if want_cols:
-                np.minimum(col_mins, d.min(axis=0), out=col_mins)
-            continue
-        ii, jj = np.divmod(flat, n_y)
-        d = _pair_dists(block[ii], Y[jj])
-        # every row has a candidate (its own minimum), and ii is sorted
-        row_mins[rows] = np.minimum.reduceat(d, np.flatnonzero(np.diff(ii, prepend=-1)))
-        if want_cols:
-            np.minimum.at(col_mins, jj, d)
+                np.minimum.at(col_mins, jj, d)
+        return col_mins
+
+    starts = range(0, n_x, _BLOCK_ROWS)
+    workers = min(_workers(n_x * n_y), len(starts))
+    if workers == 1:
+        return row_mins, chunk(starts)
+    bounds = [i * len(starts) // workers for i in range(workers + 1)]
+    err = np.geterr()  # a new thread starts from numpy's default error handling
+
+    def in_thread(part):
+        with np.errstate(**err):
+            return chunk(part)
+
+    with ThreadPoolExecutor(workers) as pool:
+        parts = list(pool.map(in_thread, [starts[a:b] for a, b in zip(bounds[:-1], bounds[1:])]))
+    col_mins = parts[0]
+    if want_cols:
+        for part in parts[1:]:
+            np.minimum(col_mins, part, out=col_mins)
     return row_mins, col_mins
 
 

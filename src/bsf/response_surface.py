@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bezier import monomials
+from .bezier import _blocked_matmul, monomials
 from .errors import DimensionError
 from .pareto import SampleSet, normalizer_from
 
@@ -51,7 +51,7 @@ class ResponseSurface:
         U = np.atleast_2d(np.asarray(U, dtype=float))
         if U.shape[1] != self.m - 1:
             raise DimensionError(f"expected {self.m - 1} inputs, got {U.shape[1]}")
-        return monomials(U, self.exponents) @ self.coefficients
+        return _blocked_matmul(monomials(U, self.exponents), self.coefficients)
 
     def sample_grid(self, resolution: int) -> SampleSet:
         """(resolution + 1)^(m-1) surface points over the normalized unit box,

@@ -414,6 +414,25 @@ def test_experiment_rejects_negative_degree(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--resolution", "0", "resolution must be at least 1"),
+        ("--resolution", "-3", "resolution must be at least 1"),
+        ("--validation", "0", "validation size must be at least 1"),
+        ("--validation", "-5", "validation size must be at least 1"),
+    ],
+)
+def test_experiment_rejects_empty_grid_or_validation(tmp_path, capsys, flag, value, message):
+    code = run_cli(
+        "experiment", "--problem", "med3", "--method", "inductive", "--trials", "2",
+        flag, value, "--out", tmp_path / "x",
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_experiment_sweep_on_two_objectives_is_usage_error(tmp_path, capsys):
     code = run_cli(
         "experiment", "--problem", "schaffer", "--method", "inductive", "--sizes", "1,3",

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,3 +254,152 @@ def test_kernel_non_finite_and_huge_rows(value):
     Z = rng.normal(size=(600, 4))
     Z[:, 2] = value
     assert_kernel_matches_reference(Z, Y)
+
+
+# -- the kernel split over worker threads --------------------------------------------
+
+
+@contextmanager
+def forced_threads(cpus, block_rows=None):
+    """Run `_min_dists` on `cpus` threads for any call of 2+ blocks."""
+    import bsf.metrics as metrics
+
+    saved = metrics._cpu_count, metrics._PAIRS_PER_WORKER, metrics._BLOCK_ROWS
+    metrics._cpu_count, metrics._PAIRS_PER_WORKER = (lambda: cpus), 1
+    if block_rows is not None:
+        metrics._BLOCK_ROWS = block_rows
+    try:
+        yield
+    finally:
+        metrics._cpu_count, metrics._PAIRS_PER_WORKER, metrics._BLOCK_ROWS = saved
+
+
+def assert_threaded_kernel_matches_reference(X, Y, block_rows=None):
+    for cpus in (2, 3, 4):
+        with forced_threads(cpus, block_rows):
+            assert_kernel_matches_reference(X, Y)
+
+
+def test_forced_threads_do_use_threads(monkeypatch):
+    import bsf.metrics as metrics
+
+    used = []
+    real = metrics.ThreadPoolExecutor
+
+    def spy(workers):
+        used.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", spy)
+    rng = np.random.default_rng(30)
+    X, Y = rng.normal(size=(600, 3)), rng.normal(size=(50, 3))
+    with forced_threads(3, block_rows=64):
+        assert_kernel_matches_reference(X, Y)
+    with forced_threads(4, block_rows=256):  # three blocks: one per worker
+        assert_kernel_matches_reference(X, Y)
+    assert used == [3, 3, 3, 3]
+    gd_igd(X[:200], Y)  # one block: no pool
+    assert len(used) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(1, 600),
+    st.integers(1, 300),
+    st.sampled_from(["normal", "lattice", "offset", "near-ties"]),
+    st.sampled_from([17, 64, 256]),
+)
+def test_threaded_kernel_matches_one_pass_reference(seed, ambient, n_x, n_y, layout, block_rows):
+    rng = np.random.default_rng(seed)
+    X, Y = rng.normal(size=(n_x, ambient)), rng.normal(size=(n_y, ambient))
+    if layout == "lattice":
+        X, Y = np.round(2 * X), np.round(2 * Y)
+    elif layout == "offset":
+        X, Y = X + 1e6, Y * 1e-3 + 1e6
+    elif layout == "near-ties":
+        X, Y = near_tie_sets(rng, n_x, ambient)
+    assert_threaded_kernel_matches_reference(X, Y, block_rows)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+@pytest.mark.parametrize(
+    "case",
+    [
+        test_kernel_exact_duplicates,
+        test_kernel_lattice_ties,
+        test_kernel_large_offset,
+        test_kernel_nextafter_neighbours,
+        test_kernel_near_ties_at_every_scale,
+        test_kernel_one_point_sets,
+    ],
+)
+def test_threaded_kernel_fixed_cases(case, cpus):
+    with forced_threads(cpus, block_rows=64):
+        case()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200, -1e200, 1e155])
+def test_threaded_kernel_bad_row_in_second_chunk_only(value):
+    rng = np.random.default_rng(31)
+    X, Y = rng.normal(size=(600, 4)), rng.normal(size=(300, 4))
+    X[400, 1] = value  # block 7 of 10: never in the first of 2, 3 or 4 chunks
+    assert_threaded_kernel_matches_reference(X, Y, block_rows=64)
+    assert_threaded_kernel_matches_reference(Y, X, block_rows=64)
+
+
+def test_threaded_kernel_nan_payloads_merge_in_chunk_order():
+    # a negative NaN in the first chunk, a positive one in the last: every
+    # column minimum must be the first chunk's, as in one pass over the blocks
+    import bsf.metrics as metrics
+
+    rng = np.random.default_rng(34)
+    X, Y = rng.normal(size=(600, 3)), rng.normal(size=(40, 3))
+    X[100, 0] = np.copysign(np.nan, -1.0)
+    X[500, 2] = np.nan
+    assert_threaded_kernel_matches_reference(X, Y, block_rows=64)
+    with forced_threads(2, block_rows=64):
+        _, cols = metrics._min_dists(X, Y, True)
+    assert np.all(np.signbit(cols)) and np.all(np.isnan(cols))
+
+
+def test_threaded_kernel_keeps_the_callers_error_handling():
+    # inf - inf in the full path of the last chunk's block: numpy's error
+    # handling is per thread, and the workers take the caller's
+    rng = np.random.default_rng(35)
+    X, Y = rng.normal(size=(600, 3)), rng.normal(size=(40, 3))
+    X[500, 0] = Y[5, 0] = np.inf
+    for cpus in (1, 2):
+        with forced_threads(cpus, block_rows=64), np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                gd_igd(X, Y)
+
+
+def test_threaded_kernel_column_minima_in_later_chunks():
+    rng = np.random.default_rng(32)
+    X = rng.normal(size=(640, 3))
+    # each column's nearest row sits in a later chunk than most rows
+    Y = np.vstack([X[600:620], X[330:340]]) + rng.normal(scale=1e-6, size=(30, 3))
+    assert_threaded_kernel_matches_reference(X, Y, block_rows=64)
+    with forced_threads(2, block_rows=64):
+        assert gd_igd(X, Y) == (gd_oracle(X, Y), gd_oracle(Y, X))
+
+
+def test_threaded_kernel_one_block_per_worker_and_more_workers_than_blocks():
+    rng = np.random.default_rng(33)
+    X, Y = rng.normal(size=(192, 5)), rng.normal(size=(80, 5))
+    assert_threaded_kernel_matches_reference(X, Y, block_rows=64)  # 3 blocks
+    assert_threaded_kernel_matches_reference(X[:100], Y, block_rows=64)  # 2 blocks
+    assert_threaded_kernel_matches_reference(X[:64], Y, block_rows=64)  # 1 block
+
+
+def test_kernel_threads_only_large_calls(monkeypatch):
+    import bsf.metrics as metrics
+
+    monkeypatch.setattr(metrics, "_cpu_count", lambda: 2)
+    assert metrics._workers(194_481 * 1_000) == 2  # med5 response-surface box grid
+    assert metrics._workers(10_626 * 1_000) == 1  # med5 barycentric grid
+    assert metrics._workers(441 * 1_000) == 1  # med3 response-surface box grid
+    monkeypatch.setattr(metrics, "_cpu_count", lambda: 1)
+    assert metrics._workers(194_481 * 1_000) == 1
