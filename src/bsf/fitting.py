@@ -12,12 +12,13 @@ the skeleton passes every face of one cardinality, all-at-once a batch of
 one. The parameter update is a constrained Newton iteration on the squared
 distance, with the last barycentric coordinate eliminated and iterates
 clamped back onto the simplex. One call runs it on the samples of every fit
-in the batch at once, but its stopping rules and its gradient fallback apply
-to each sample on its own, and each sample meets only its own fit's control
-net. The control-point update is an exact linear least-squares solve per
-fit, so the per-iteration loss never increases. Each fit stops on its own
-test and leaves the batch; its results are bit-identical to fitting it
-alone.
+still in the batch at once, but its stopping rules and its gradient fallback
+apply to each sample on its own, and each sample meets only its own fit's
+control net. There is one projection path: a lone fit, or a projection of
+one model outside the loop, is a batch of one. The control-point update is
+an exact linear least-squares solve per fit, so the per-iteration loss
+never increases. Each fit stops on its own test and leaves the batch; its
+results are bit-identical to fitting it alone.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -174,15 +175,17 @@ def _solve_rows(H: np.ndarray, g: np.ndarray) -> np.ndarray:
 def project_parameter(model, x, t0, cfg: FitConfig):
     """Foot-point projection: locally minimize |b(t) - x|^2 over the simplex.
 
-    `x` is one point of shape (ambient,) with `t0` of shape (m,), or a batch
-    of shape (n, ambient) with `t0` of shape (n, m); the result has the shape
-    of `t0`. All rows run one vectorized Newton iteration, but every rule
-    below applies to each row on its own, and a row that stops is frozen.
+    `model` is a tuple of models sharing m, degree and ambient, with `x` and
+    `t0` tuples of per-model blocks: points of shape (ambient,) with a start
+    of shape (m,), or of shape (n, ambient) with starts of shape (n, m). The
+    result is a list of per-model results, each with the shape of its start.
+    `model` may also be one model with `x` and `t0` one block; that is the
+    batch of one, and its result is returned bare.
 
-    `model` may also be a tuple of models sharing m, degree and ambient, with
-    `x` and `t0` tuples of per-model blocks as above; the result is then a
-    list of per-model results. The rows of every model run in one Newton
-    batch, and each model's results are bit-identical to a call on it alone.
+    The rows of every model run in one vectorized Newton iteration, but every
+    rule below applies to each row on its own, a row that stops is frozen,
+    and each row meets only its own model's control net, so each model's
+    results are bit-identical to a batch of it alone.
 
     Newton steps act on the reduced coordinates (the last one is eliminated
     through the sum constraint); after each step negative entries are clamped
@@ -195,31 +198,8 @@ def project_parameter(model, x, t0, cfg: FitConfig):
     backtracking gradient step (at most 20 halvings). Each row returns its
     best iterate by squared distance, so no result falls behind its start.
     """
-    if isinstance(model, tuple):
-        return _project_models(model, x, t0, cfg)
-    X, single = _projection_points(model, x)
-    T = as_barycentric_rows(t0, model.m)
-    if T.shape[0] != X.shape[0]:
-        raise DimensionError("points and starting parameters disagree in count")
-    if model.m > 1:
-        T = _newton_rows(model.m, model.degree, model.points, X, T, cfg)
-    return T[0] if single else T
-
-
-def _projection_points(model: BezierSimplex, x) -> tuple[np.ndarray, bool]:
-    """Points as (n, ambient) rows, and whether `x` was a single point."""
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    X = np.atleast_2d(X)
-    if X.ndim != 2 or X.shape[1] != model.ambient:
-        raise DimensionError(f"expected points in R^{model.ambient}, got shape {np.shape(x)}")
-    return X, single
-
-
-def _project_models(models: tuple, xs, t0s, cfg: FitConfig) -> list:
-    """project_parameter over several models: their rows are stacked in model
-    order, each row carries the index of its model's control net, and the
-    starts are validated together (the repair is row by row)."""
+    lone = not isinstance(model, tuple)
+    models, xs, t0s = ((model,), (x,), (t0,)) if lone else (model, x, t0)
     if not len(models) == len(xs) == len(t0s):
         raise DimensionError("models, point blocks and start blocks disagree in count")
     if not models:
@@ -227,24 +207,28 @@ def _project_models(models: tuple, xs, t0s, cfg: FitConfig) -> list:
     m, degree, ambient = models[0].m, models[0].degree, models[0].ambient
     if any((mo.m, mo.degree, mo.ambient) != (m, degree, ambient) for mo in models):
         raise DimensionError("batched models must share m, degree and ambient dimension")
-    points = [_projection_points(mo, x) for mo, x in zip(models, xs)]
+    Xs = [np.asarray(x, dtype=float) for x in xs]
+    singles = [X.ndim == 1 for X in Xs]
+    Xs = [np.atleast_2d(X) for X in Xs]
+    for X, x in zip(Xs, xs):
+        if X.ndim != 2 or X.shape[1] != ambient:
+            raise DimensionError(f"expected points in R^{ambient}, got shape {np.shape(x)}")
     starts = [np.atleast_2d(np.asarray(t0, dtype=float)) for t0 in t0s]
-    if any(S.shape != (X.shape[0], m) for S, (X, _) in zip(starts, points)):
+    if any(S.shape != (X.shape[0], m) for S, X in zip(starts, Xs)):
         raise DimensionError("each point block needs one start of m coordinates per point")
     T = as_barycentric_rows(np.concatenate(starts), m)
     counts = [S.shape[0] for S in starts]
     if m > 1:
-        T = _newton_rows(
-            m,
-            degree,
-            np.stack([mo.points for mo in models]),
-            np.concatenate([X for X, _ in points]),
-            T,
-            cfg,
-            np.repeat(np.arange(len(models)), counts),
-        )
-    Ts = np.split(T, np.cumsum(counts)[:-1])
-    return [T[0] if single else T for T, (_, single) in zip(Ts, points)]
+        # a lone model keeps its own net and no owners: the same products as
+        # one owner run of a stack, without the owner bookkeeping
+        P, owner = models[0].points, None
+        if len(models) > 1:
+            P = np.stack([mo.points for mo in models])
+            owner = np.repeat(np.arange(len(models)), counts)
+        T = _newton_rows(m, degree, P, np.concatenate(Xs), T, cfg, owner)
+    ends = accumulate(counts)  # slices: np.split alone takes ~10 us, a share of a small call
+    Ts = [T[e - n] if single else T[e - n : e] for n, e, single in zip(counts, ends, singles)]
+    return Ts[0] if lone else Ts
 
 
 def _newton_rows(m: int, degree: int, P, X, T, cfg: FitConfig, owner=None) -> np.ndarray:
@@ -383,16 +367,12 @@ def _alternate(models, Xs, cfg, frees) -> list:
         if not running:
             break
         try:
-            if len(running) == 1:
-                (i,) = running
-                projected = [project_parameter(models[i], Xs[i], Ts[i], cfg)]
-            else:
-                projected = project_parameter(
-                    tuple(models[i] for i in running),
-                    tuple(Xs[i] for i in running),
-                    tuple(Ts[i] for i in running),
-                    cfg,
-                )
+            projected = project_parameter(
+                tuple(models[i] for i in running),
+                tuple(Xs[i] for i in running),
+                tuple(Ts[i] for i in running),
+                cfg,
+            )
         except Exception as exc:
             for i in running:
                 out[i] = exc
@@ -418,13 +398,6 @@ def _alternate(models, Xs, cfg, frees) -> list:
     return out
 
 
-def _fitted(outcome):
-    """One fit's (model, T, trace, iterations) from _alternate, or its error."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def fit_all_at_once(S: SampleSet, vertex_optima, cfg: FitConfig) -> FitResult:
     """Alternating fit of every control point against the whole sample."""
     X = S.ambient()
@@ -436,7 +409,9 @@ def fit_all_at_once(S: SampleSet, vertex_optima, cfg: FitConfig) -> FitResult:
             f"corner points live in R^{model.ambient} but samples in R^{X.shape[1]}"
         )
     (outcome,) = _alternate([model], [X], cfg, [set(model.indices)])
-    model, T, trace, iterations = _fitted(outcome)
+    if isinstance(outcome, Exception):
+        raise outcome
+    model, T, trace, iterations = outcome
     log.info("all-at-once fit: %d outer iterations, SSR %.3e", iterations, trace[-1])
     return FitResult(model, T, tuple(trace), iterations)
 
@@ -465,9 +440,10 @@ def fit_inductive_skeleton(
     max_iters = 0
     faces = enumerate_faces(m, min(cfg.degree, m) if cfg.degree >= 1 else 1)
     for _, same_size in groupby(faces, key=len):
-        # per face (face, interior, what): what is the error the face raises,
-        # None for an empty face, or the face's position in the batch of fits
-        plan = []
+        # per face [face, interior, outcome]: the error the face raises, None
+        # for an empty face, or (model, T, trace, iterations) once the batch
+        # of fits has run; `batched` holds the plan rows of that batch
+        plan, batched = [], []
         models, Xs, frees = [], [], []
         for face in same_size:
             _, interior = face_indices(m, cfg.degree, face)
@@ -475,35 +451,38 @@ def fit_inductive_skeleton(
                 continue
             S_face = decomposed.get(face)
             X = None if S_face is None or S_face.n == 0 else S_face.ambient()
+            outcome = None
             if X is None:
-                what = None
                 if len(face) == 1:
-                    what = InsufficientDataError(f"no sample for vertex face {face_label(face)}")
+                    outcome = InsufficientDataError(
+                        f"no sample for vertex face {face_label(face)}"
+                    )
             elif X.shape[1] != model.ambient:
-                what = DimensionError(
+                outcome = DimensionError(
                     f"face sample lives in R^{X.shape[1]}, model in R^{model.ambient}"
                 )
             else:
-                what = len(models)
+                batched.append(len(plan))
                 models.append(model.restrict(face))
                 Xs.append(X)
                 frees.append({tuple(d[j] for j in face) for d in interior})
-            plan.append((face, interior, what))
-        outcomes = _alternate(models, Xs, cfg, frees)
+            plan.append([face, interior, outcome])
+        for k, outcome in zip(batched, _alternate(models, Xs, cfg, frees)):
+            plan[k][2] = outcome
         pts = model.points.copy()
-        for face, interior, what in plan:
-            if isinstance(what, Exception):
-                raise what
-            if what is None:
+        for face, interior, outcome in plan:
+            if isinstance(outcome, Exception):
+                raise outcome
+            if outcome is None:
                 log.warning(
                     "face %s has no subsample; keeping grid initialization", face_label(face)
                 )
                 report[face] = FaceReport(0, float("nan"), 0, len(interior), "empty subsample")
                 continue
-            sub, _, trace, iterations = _fitted(outcomes[what])
+            sub, T, trace, iterations = outcome
             for d in interior:
                 pts[model.index_row(d)] = sub.control_point(tuple(d[j] for j in face))
-            report[face] = FaceReport(iterations, trace[-1], Xs[what].shape[0], len(interior))
+            report[face] = FaceReport(iterations, trace[-1], T.shape[0], len(interior))
             last_trace = trace
             max_iters = max(max_iters, iterations)
         model = model.with_points(pts)

@@ -49,9 +49,9 @@ class ProblemDef:
     constraints: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(
         default=(), repr=False
     )
-    pareto_mode: str = "brute-force"  # or "analytic"
     # (face, n, rng) -> decision matrix of Pareto-optimal points of the
-    # subproblem restricted to `face` (0-based objective indices)
+    # subproblem restricted to `face` (0-based objective indices); without
+    # it, fronts are read off a brute-force feasible pool
     pareto_set_sampler: Callable | None = field(default=None, repr=False)
 
 
@@ -183,7 +183,6 @@ def _make_schaffer() -> ProblemDef:
         n_objectives=2,
         bounds=np.array([[-100000.0, 100000.0]]),
         objectives=_schaffer_objectives,
-        pareto_mode="analytic",
         pareto_set_sampler=_schaffer_sampler,
     )
 
@@ -250,7 +249,6 @@ def make_med(m: int) -> ProblemDef:
         n_objectives=m,
         bounds=np.tile([-5.12, 5.12], (m, 1)),
         objectives=_med_objectives(m),
-        pareto_mode="analytic",
         pareto_set_sampler=_med_sampler(m),
     )
 
@@ -371,7 +369,7 @@ def generate_front_sample(
         remaining = n - m
         if remaining < 0:
             raise InsufficientFrontError(f"n={n} cannot include all {m} endpoints")
-    if problem.pareto_mode == "analytic":
+    if problem.pareto_set_sampler is not None:
         if remaining > 0:
             parts.append(_analytic_face_sample(problem, full, remaining, rng, with_solutions))
     elif remaining > 0:
@@ -390,7 +388,7 @@ def generate_front_sample(
 
 
 def _single_objective_optimum(problem, j, rng, with_solutions, pool_seed=0):
-    if problem.pareto_mode == "analytic":
+    if problem.pareto_set_sampler is not None:
         return _analytic_face_sample(problem, (j,), 1, rng, with_solutions)
     X, F = feasible_pool(problem, seed=pool_seed)
     best = int(np.argmin(F[:, j]))
@@ -416,13 +414,15 @@ def make_training_set(
     The sets carry solution vectors if `with_solutions` is true; None, the
     default, means false, except that a sample file keeps its own columns.
     """
+    if validation_size < 1:
+        raise ValueError("validation size must be at least 1")
     if isinstance(problem, FileProblem):
         return _training_from_sample(problem, sizes, seed, validation_size, with_solutions)
     if any(s < 0 for s in sizes) or not sizes or sizes[0] < 1:
         raise InsufficientFrontError("sizes must start with at least one vertex point")
     m = problem.n_objectives
     rng = np.random.default_rng(seed)
-    if problem.pareto_mode == "analytic":
+    if problem.pareto_set_sampler is not None:
         training = {}
         for face in enumerate_faces(m, min(len(sizes), m)):
             n_face = sizes[len(face) - 1]

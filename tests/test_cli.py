@@ -56,6 +56,18 @@ def test_generate_is_byte_reproducible(tmp_path):
     assert read_all(a) == read_all(b)
 
 
+@pytest.mark.parametrize("problem", ["med3", "osyczka2"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_generate_rejects_empty_validation(tmp_path, capsys, problem, value):
+    code = run_cli(
+        "generate", "--problem", problem, "--sizes", "1,2", "--validation", value,
+        "--out", tmp_path / "data",
+    )
+    assert code == 2
+    assert "validation size must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_generate_unknown_problem_exits_2(tmp_path, capsys):
     code = run_cli("generate", "--problem", "mystery", "--sizes", "1,2", "--out", tmp_path / "x")
     assert code == 2

@@ -387,3 +387,61 @@ def test_one_projection_call_per_cardinality_iteration(monkeypatch):
     per_face = sum(r.iterations for r in res.per_face_report.values())
     assert len(calls) < per_face
     assert any(isinstance(c, tuple) and len(c) == 10 for c in calls)
+
+
+def test_all_at_once_projects_a_batch_of_one_per_iteration(monkeypatch):
+    # one call per outer iteration, each on a tuple of the one model
+    training, validation = make_training_set(get_problem("med3"), (1, 2, 1), seed=3,
+                                             validation_size=50)
+    V = vertex_optima_from(training, validation.m)
+    calls = []
+    original = fitting.project_parameter
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "project_parameter", counting)
+    res = fit_all_at_once(SampleSet.concat(training.values()), V, FitConfig(degree=3))
+    assert res.outer_iterations >= 2
+    assert len(calls) == res.outer_iterations
+    assert all(isinstance(c, tuple) and len(c) == 1 for c in calls)
+
+
+def _outcome(call):
+    """("raises", exception class) or ("returns", shape, bits) of a call."""
+    try:
+        T = call()
+    except Exception as exc:
+        return "raises", type(exc)
+    return "returns", T.shape, bits(T)
+
+
+_MODEL = BezierSimplex(3, 2, np.random.default_rng(21).normal(size=(6, 2)))
+_STARTS = np.random.default_rng(22).dirichlet(np.ones(3), size=4)
+
+
+@pytest.mark.parametrize(
+    "x, t0, expected",
+    [
+        (np.array([0.3, -0.2]), _STARTS[0], "returns"),  # one 1-d point
+        (np.array([[0.3, -0.2]]), _STARTS[:1], "returns"),  # one 2-d point
+        (np.random.default_rng(23).normal(size=(4, 2)), _STARTS, "returns"),
+        (np.zeros((2, 2)), _STARTS[:3], "raises"),  # count mismatch
+        (np.zeros(2), _STARTS[:2], "raises"),
+        (np.zeros(3), _STARTS[0], "raises"),  # wrong ambient dimension
+        (np.zeros((2, 1)), _STARTS[:2], "raises"),
+        (np.zeros((2, 2)), np.full((2, 2), 0.5), "raises"),  # start with the wrong m
+        (np.zeros(2), np.full(4, 0.25), "raises"),
+        (np.zeros((0, 2)), np.zeros((0, 3)), "returns"),  # empty block
+        (np.zeros((0, 2)), _STARTS[0], "raises"),
+    ],
+)
+def test_single_model_form_is_the_batch_of_one(x, t0, expected):
+    cfg = FitConfig(degree=2)
+    single = _outcome(lambda: project_parameter(_MODEL, x, t0, cfg))
+    batch = _outcome(lambda: project_parameter((_MODEL,), (x,), (t0,), cfg)[0])
+    assert single[0] == expected
+    assert single == batch
+    if expected == "raises":
+        assert issubclass(single[1], DimensionError)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bsf import problems
 from bsf.errors import DomainError, InsufficientFrontError
 from bsf.pareto import SampleSet, nondominated_filter, save_sample
 from bsf.problems import (
@@ -250,3 +251,15 @@ def test_file_split_golden_rows():
     rows = [5, 8, 18, 23, 25, 27, 33, 35, 36, 63, 64, 66]
     np.testing.assert_array_equal(validation.objectives, F[rows])
     np.testing.assert_array_equal(validation.solutions, X[rows])
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_empty_validation_is_rejected_before_any_pool(monkeypatch, size):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was drawn")
+
+    monkeypatch.setattr(problems, "feasible_pool", no_pool)
+    sample = SampleSet(np.vstack([np.eye(3), np.full((4, 3), 0.5)]))
+    for problem in (get_problem("med3"), get_problem("osyczka2"), FileProblem("f", sample)):
+        with pytest.raises(ValueError, match="validation size must be at least 1"):
+            make_training_set(problem, (1, 2), seed=0, validation_size=size)
