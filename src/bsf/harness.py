@@ -116,11 +116,20 @@ def surface_points(model, resolution: int) -> np.ndarray:
 
 
 def score(sample_points: np.ndarray, validation_points: np.ndarray, normalize: bool):
+    """GD/IGD of a sample against a validation set, both first min-max
+    normalized by the validation ranges when `normalize`; neither input is
+    modified."""
     if normalize:
         lo, span = normalizer_from(validation_points)
-        sample_points = (sample_points - lo) / span
-        validation_points = (validation_points - lo) / span
+        sample_points = _normalized(sample_points, lo, span)
+        validation_points = _normalized(validation_points, lo, span)
     return gd_igd(sample_points, validation_points)
+
+
+def _normalized(points: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """(points - lo) / span in one new array."""
+    out = np.subtract(points, lo)
+    return np.divide(out, span, out=out)
 
 
 def _data_failure(cfg: ExperimentConfig, trial: int, exc: Exception) -> list[TrialRow]:

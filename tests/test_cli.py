@@ -264,6 +264,60 @@ def test_evaluate_normalized_response_surface_equals_harness_score(tmp_path, cap
     assert parse_scores(capsys.readouterr().out.splitlines()[-1]) == expected
 
 
+
+def _fit_surface_dict(m=3):
+    from bsf.response_surface import fit_response_surface
+
+    rng = np.random.default_rng(13)
+    return fit_response_surface(SampleSet(rng.uniform(size=(30, m)))).to_dict()
+
+
+def _edit(**fields):
+    def apply(data):
+        data.update(fields)
+    return apply
+
+
+def _set_item(name, i, value):
+    def apply(data):
+        data[name][i] = value
+    return apply
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        pytest.param(_edit(M=1), "M", id="M-below-2"),
+        pytest.param(_edit(exponents=[[0, 0], [1, 0], [0, 1]]), "exponents", id="exponents-not-the-basis"),
+        pytest.param(_set_item("exponents", 1, [-1, 0]), "exponents", id="negative-exponent"),
+        pytest.param(_edit(exponents=5), "exponents", id="exponents-not-a-list"),
+        pytest.param(lambda d: d["coefficients"].pop(), "coefficients", id="short-coefficients"),
+        pytest.param(lambda d: d["lo"].pop(), "lo", id="short-lo"),
+        pytest.param(_edit(span=[0.0, 1.0, 1.0]), "span", id="zero-span"),
+        pytest.param(_set_item("span", 2, -1.0), "span", id="negative-span"),
+        pytest.param(lambda d: d["span"].append(1.0), "span", id="long-span"),
+        pytest.param(_set_item("coefficients", 0, float("nan")), "coefficients", id="nan-coefficient"),
+        pytest.param(_set_item("lo", 1, float("inf")), "lo", id="infinite-lo"),
+    ],
+)
+def test_evaluate_rejects_malformed_response_surface(tmp_path, capsys, edit, field):
+    from bsf.errors import ParseError
+    from bsf.response_surface import ResponseSurface
+
+    data = _fit_surface_dict()
+    ResponseSurface.from_dict(data)  # the unedited record loads
+    edit(data)
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(data))
+    val = tmp_path / "v.csv"
+    save_sample(SampleSet(np.random.default_rng(14).uniform(size=(10, 3))), val)
+    with pytest.raises(ParseError, match=f"^response surface: {field} "):
+        ResponseSurface.from_dict(json.loads(path.read_text()))
+    # ParseError is a ValueError, so the CLI reports it as it reports a
+    # malformed sample file or a Bezier file with a bad index set
+    assert run_cli("evaluate", "--model", path, "--validation", val) == 2
+    assert f"error: response surface: {field} " in capsys.readouterr().err
+
 # -- experiment ---------------------------------------------------------------------
 
 

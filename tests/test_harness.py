@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bsf.harness import (
@@ -9,12 +10,15 @@ from bsf.harness import (
     read_rows,
     run_experiment,
     run_sweep,
+    score,
     summarize,
     u_tests,
     vertex_optima_from,
     write_rows,
     write_summary,
 )
+from bsf.metrics import gd_igd
+from bsf.pareto import normalizer_from
 from bsf.problems import get_problem, make_training_set
 
 CFG = ExperimentConfig(
@@ -159,3 +163,19 @@ def test_unresolvable_problem_recorded_per_row(name):
         ("inductive", 0), ("inductive", 1), ("all-at-once", 0), ("all-at-once", 1),
     ]
     assert all(r.error == str(info.value) and r.gd is None for r in rows)
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_score_is_gd_igd_of_the_normalized_pair_and_keeps_its_inputs(normalize):
+    rng = np.random.default_rng(12)
+    sample = rng.normal(size=(300, 3)) * [4.0, 0.5, 20.0]
+    validation = rng.normal(size=(80, 3)) * [3.0, 0.2, 10.0] + 1.0
+    sample_before, validation_before = sample.copy(), validation.copy()
+    if normalize:
+        lo, span = normalizer_from(validation)
+        expected = gd_igd((sample - lo) / span, (validation - lo) / span)
+    else:
+        expected = gd_igd(sample, validation)
+    assert score(sample, validation, normalize) == expected
+    assert np.array_equal(sample.view(np.uint64), sample_before.view(np.uint64))
+    assert np.array_equal(validation.view(np.uint64), validation_before.view(np.uint64))

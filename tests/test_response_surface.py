@@ -1,9 +1,12 @@
+import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
 from bsf.errors import DimensionError
+from bsf.harness import surface_points
 from bsf.pareto import SampleSet
 from bsf.response_surface import (
     ResponseSurface,
@@ -61,16 +64,42 @@ def test_sample_grid_counts(m, r, count):
     assert surface.sample_grid(r).n == count
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_sample_grid_is_the_product_order_box(m):
+@pytest.mark.parametrize(
+    "m, r",
+    [pytest.param(m, 6, id=str(m)) for m in (2, 3, 4, 5)]  # (5, 6): 2,401 rows end on a 9-row block
+    + [(2, 20), (4, 8), (6, 3)],  # (4, 8): a 25-row last block
+)
+def test_sample_grid_is_the_product_order_box(m, r):
     rng = np.random.default_rng(7)
     surface = fit_response_surface(SampleSet(rng.uniform(size=(40, m))))
-    r = 6
     axis = np.arange(r + 1) / r
     U = np.array(list(product(axis, repeat=m - 1)))
     expected = surface.lo + surface.span * np.column_stack([U, surface.predict_normalized(U)])
     assert np.array_equal(surface.sample_grid(r).objectives, expected)
 
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_grid_is_rejected_as_non_finite():
+    rng = np.random.default_rng(8)
+    surface = fit_response_surface(SampleSet(rng.uniform(size=(40, 5))))
+    huge = replace(surface, coefficients=np.full(len(surface.exponents), 1e308))
+    with pytest.raises(DimensionError, match="objectives must be finite"):
+        surface_points(huge, 20)
+
+
+def test_sample_grid_holds_no_full_grid_intermediate():
+    rng = np.random.default_rng(9)
+    surface = fit_response_surface(SampleSet(rng.uniform(size=(60, 5))))
+    tracemalloc.start()
+    try:
+        grid = surface.sample_grid(20).objectives
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (194_481, 5)
+    # the result and SampleSet's copy of it, plus a few thousand rows at a time
+    assert peak < 3 * grid.nbytes
 
 def test_constant_surface_sampling():
     rng = np.random.default_rng(3)
