@@ -203,11 +203,16 @@ def cmd_fit(args) -> int:
 
 
 def _load_model_file(path):
+    """The model of a JSON model file; a ParseError names a field it lacks."""
     data = json.loads(Path(path).read_text())
-    if "control_points" in data:
-        return BezierSimplex.from_dict(data)
-    if data.get("type") == "response-surface":
-        return ResponseSurface.from_dict(data)
+    if isinstance(data, dict):
+        try:
+            if data.get("type") == "response-surface":
+                return ResponseSurface.from_dict(data)
+            if data.keys() & {"M", "D", "A", "control_points"}:
+                return BezierSimplex.from_dict(data)
+        except KeyError as exc:
+            raise ParseError(f"{path}: model file has no field {exc.args[0]!r}") from None
     raise ParseError(f"{path}: not a recognized model file")
 
 

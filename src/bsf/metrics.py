@@ -3,17 +3,20 @@
 Distances are exact: each directed mean equals, bit for bit, a left-to-right
 sum of per-point minima of `sqrt(sum((x - y) ** 2))` over every pair (no
 spatial index, no approximation). The nearest-point search runs in two passes
-per block of rows. Pass 1 approximates all squared distances of the block
-with one matrix product, ||x||^2 + ||y||^2 - 2 x.y on centred points, and
-keeps as candidates the pairs whose approximation lies within a rigorous
-rounding bound of a row's or a column's minimum. Pass 2 recomputes only
-those pairs with the exact expression and takes their minima. The bound
+per block of rows. Pass 1 approximates all squared distances of the block in
+single precision with one matrix product, ||x||^2 + ||y||^2 - 2 x.y on
+centred points, and keeps as candidates the pairs whose approximation lies
+within a rigorous rounding bound of a row's or a column's minimum. The bound
+is per point: it grows with that point's own norm and least distance, so one
+far point widens only its own screen. Pass 2 recomputes only those pairs with
+the exact double-precision expression and takes their minima. The bound
 covers the rounding of both the approximation and the exact expression, so
 the pair that gives the true minimum is always a candidate, and every
 candidate's value is an exact pair distance: the minimum is the same number
-the full computation gives. Blocks the bound cannot vouch for (non-finite or
-overflowing coordinates) or where most pairs tie (so that gathering them would
-cost more than the full block) are computed in full with the exact expression.
+the full computation gives. Blocks the bound cannot vouch for (non-finite
+coordinates, or squares past float32's range) or where most pairs tie (so
+that gathering them would cost more than the full block) are computed in
+full with the exact expression.
 
 Large calls split the blocks over one thread per usable CPU (`_min_dists`).
 Pass 1's products run in row blocks that OpenBLAS keeps on the calling thread
@@ -32,10 +35,16 @@ from .bezier import BezierSimplex, _blocked_matmul, barycentric_grid
 from .errors import DimensionError
 from .pareto import SampleSet
 
-_BLOCK_ROWS = 256
-_U = np.finfo(float).eps / 2  # unit roundoff
-_ETA = np.finfo(float).smallest_subnormal
-_SQ_LIMIT = np.finfo(float).max / 16
+# Rows per block. Each block makes dozens of small numpy calls, which hold
+# the GIL while the kernel's threads run, so fewer, larger blocks run faster
+# on two threads; 448 float32 rows against 1,000 points make a 1.75 MB D,
+# which with the candidate mask stays below the 2.5 MB that 256 float64 rows
+# and two masks took.
+_BLOCK_ROWS = 448
+# pass 1 runs in float32: its unit roundoff, least subnormal and overflow guard
+_U = 2.0**-24
+_ETA = float(np.finfo(np.float32).smallest_subnormal)
+_SQ_LIMIT = float(np.finfo(np.float32).max) / 16
 # Pairs each worker thread gets at least. On 2 cores, two threads gained
 # nothing up to 2e7 pairs (med5's 10,626 x 1,000 grid score among them) and
 # 1.3-1.5x from 2.5e7 pairs on, so calls of 2^24 pairs and more split.
@@ -79,50 +88,66 @@ def _pair_dists(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def _min_dists(X: np.ndarray, Y: np.ndarray, want_cols: bool):
     """Per-row (and, if asked, per-column) minima of `_pair_dists(X[i], Y[j])`.
 
-    Pass 1 centres both sets on c, the midpoint of their joint bounding box,
-    and for each block of `_BLOCK_ROWS` rows takes one matrix product of
-    [x^, 1, ||x^||^2] with [-2 y^, ||y^||^2, 1], with x^ = fl(x - c),
-    y^ = fl(y - c) and the norms rounded: D approximates ||x^ - y^||^2. Let
-    r = fl(sum(fl(fl(x - y)^2))) be the exact expression squared, u = 2^-53
-    the unit roundoff and P = ||x^||^2 + ||y^||^2. To first order in u, for a
-    pair in R^A:
+    Pass 1 centres both sets on c, the midpoint of Y's bounding box, and for
+    each block of `_BLOCK_ROWS` rows takes one float32 matrix product of
+    [x~, 1, s_x] with [-2 y~, s_y, 1], where x~ = fl32(x - c), y~ = fl32(y - c)
+    and s_x, s_y are their squared norms summed in float32: D approximates
+    ||x - y||^2. Let r = fl(sum(fl(fl(x - y)^2))) be the exact expression
+    squared (in float64), u = 2^-24 and eta float32's unit roundoff and least
+    subnormal, d = ||x - y||, a = ||x - c|| and b = ||y - c||. To first order
+    in u, for a pair in R^A:
 
-    - r is within (A + 2) u ||x - y||^2 <= (2A + 4) u P of ||x - y||^2 (the
-      difference's rounding, squared, the square's, and A - 1 in the sum, in
-      whatever order numpy adds);
-    - centring moves each coordinate by at most u |x^_k| (or u |y^_k|), so
-      ||x^ - y^||^2 is within 4u P of ||x - y||^2;
-    - the two norms are dot products of length A, within A u P together, and
-      D is one of length A + 2 whose terms sum in magnitude to at most 2P,
-      within (2A + 4) u P whatever the summation order or FMA use; so D is
-      within (3A + 4) u P of ||x^ - y^||^2.
+    - r is within (A + 2) 2^-53 d^2 <= u d^2 of d^2 (the difference's
+      rounding, squared, the square's, and A - 1 in the sum, in whatever order
+      numpy adds; its underflow is far below eta);
+    - rounding x - c and y - c to float32 moves each coordinate by at most
+      u |x_k - c_k| (or u |y_k - c_k|) plus eta / 2, so ||x~ - y~||^2 is
+      within 2u d (a + b) + 2 d sqrt(A) eta <= 2u d (a + b) + u d^2 + eta of
+      d^2 (A eta < u);
+    - s_x and s_y are sums of A products each: together within
+      A u (a^2 + b^2) + A eta of ||x~||^2 + ||y~||^2;
+    - D is a sum of A + 2 terms whose magnitudes sum to at most (a + b)^2, so
+      within (A + 2) u (a + b)^2 + A eta / 2 of s_x + s_y - 2 x~.y~, whatever
+      the summation order or FMA use.
 
-    So |D - r| <= E = (5A + 12) u P. If j* minimises r over a row and j'
-    minimises D, then D[j*] <= r[j*] + E <= r[j'] + E <= D[j'] + 2E, and the
-    same holds for a column against the rows of any earlier blocks. The
-    candidate test D <= min + tol therefore keeps j* when
-    tol >= 2E + u (|min| + tol) ~ (10A + 26) u P. tol = C(A) u N with
-    C(A) = 20 (A + 3) covers that twice over, N being the running maximum of
-    ||x^||^2 over the blocks so far plus the maximum of ||y^||^2. A product
-    that underflows adds at most half the smallest subnormal eta (4A + 2
-    products per pair), hence the C(A) eta term. The square root is
-    monotone, so the pair with the least r has the least distance, and as
-    every candidate is an exact pair distance, the minimum over the
-    candidates is the true minimum.
+    So |D - r| <= E = u F + (3A/2 + 1) eta, where 2 d (a + b) <= d^2 + (a + b)^2
+    gives F <= 3 d^2 + A (a^2 + b^2) + (A + 3) (a + b)^2.
 
-    N <= max_float / 16 keeps every intermediate of both expressions finite,
-    so D is finite whenever N passes. When N is larger, infinite or NaN
-    (non-finite or huge coordinates), tol is unusable and the block is
-    computed in full. Pass 2 gathers the candidate pairs as (k, A) rows;
-    when more than a quarter of a block's pairs are candidates (mass ties),
-    the full block is computed instead, so memory stays within that of the
-    full block's (rows, n_Y, A) tensors.
+    The bound is per point. Take a row x with s_x = a^2, let j* minimise r
+    over the row and j' minimise D, and m = D[j']. Then
+    D[j*] <= r[j*] + E* <= r[j'] + E* <= m + E' + E*. Both pairs have
+    d^2 <= m+ = max(m, 0) (to first order), so by the triangle inequality
+    both have b <= min(B, a + sqrt(m+)), B being the largest norm of Y. With
+    d^2 = m+ and that b, F bounds F* and F'. The candidate test keeps j* when
+    D <= m + 2 (2u F + (3A + 2) eta): twice E* + E', the factor two covering
+    the terms of second order, the float64 rounding of x - c before its cast
+    (2^-53 more), the float64 arithmetic of the threshold and the float32
+    norms standing in for a and b. The threshold is rounded up to
+    float32, so the comparison is exact on the safe side. A column is tested
+    in the same way against the rows of the blocks so far, with m its running
+    minimum of D and B the largest row norm of those blocks, so the row that
+    minimises r over them is kept in its own block. A far row therefore
+    widens only its own screen, and centring on Y's box keeps every b, and
+    so every column's screen, small. The square root is monotone, so the pair
+    with the least r has the least distance, and as every candidate is an
+    exact pair distance, the minimum over the candidates is the true minimum.
+
+    A block runs pass 1 only when its largest s_x plus the largest s_y is at
+    most float32's max / 16, which keeps every intermediate of D finite. When
+    the sum is larger, infinite or NaN (non-finite coordinates, or squares
+    past float32's range), the block is computed in full. Pass 2 gathers the
+    rows' candidate pairs as (k, A) rows and takes the row minima, then does
+    the same with the columns' candidates for the column minima; a pair in
+    both sets is computed twice, to the same bits. When the two sets hold
+    more than a quarter of the block's pairs (mass ties), the full block is
+    computed instead, so memory stays within that of the full block's
+    (rows, n_Y, A) tensors.
 
     Large calls split the blocks into contiguous chunks, one per worker
     thread (`_workers`). A chunk keeps its own running column minima of D,
-    its own N and its own column minima, so the argument above holds within
-    each chunk: both terms of tol, and the earlier blocks a column is
-    compared against, cover that chunk's blocks only. Chunks write their row
+    its own largest row norm and its own column minima, so the argument
+    above holds within each chunk: B and the earlier blocks a column is
+    compared against cover that chunk's blocks only. Chunks write their row
     minima to disjoint slices, and their column minima merge by np.minimum
     in chunk order, which keeps the first NaN just as one pass over the
     blocks would. Workers call numpy only.
@@ -130,51 +155,61 @@ def _min_dists(X: np.ndarray, Y: np.ndarray, want_cols: bool):
     n_x = X.shape[0]
     n_y, ambient = Y.shape
     row_mins = np.empty(n_x)
-    lo = np.minimum(X.min(axis=0), Y.min(axis=0))
-    hi = np.maximum(X.max(axis=0), Y.max(axis=0))
-    W = np.empty((ambient + 2, n_y))
+    W = np.empty((ambient + 2, n_y), dtype=np.float32)
     # pass 1 only screens: non-finite values there send a block to the full path
     with np.errstate(over="ignore", invalid="ignore"):
-        centre = 0.5 * lo + 0.5 * hi  # halves first: no overflow
-        Yc = Y - centre
+        centre = 0.5 * Y.min(axis=0) + 0.5 * Y.max(axis=0)  # halves first: no overflow
+        Yc = (Y - centre).astype(np.float32)
         W[:ambient] = -2.0 * Yc.T
         W[ambient] = np.einsum("ij,ij->i", Yc, Yc)
     W[ambient + 1] = 1.0
-    y_sq_max = W[ambient].max()
-    c_tol = 20 * (ambient + 3)
+    y_sq = W[ambient].astype(float)
+    y_sq_max = y_sq.max()
+
+    def thresholds(least, sq, other_sq_max):
+        """Pass 1's float32 thresholds for points of squared norms `sq` and
+        least D `least`, the other set's squared norms being at most `other_sq_max`."""
+        near = np.maximum(least, 0.0)
+        norm = np.sqrt(sq)
+        # the other point's norm: b for a row, a for a column
+        other = np.minimum(np.sqrt(other_sq_max), norm + np.sqrt(near))
+        err = 3 * near + ambient * (sq + other**2) + (ambient + 3) * (norm + other) ** 2
+        thr = least + 2 * (2 * _U * err + (3 * ambient + 2) * _ETA)
+        return np.nextafter(thr.astype(np.float32), np.float32(np.inf))  # rounded up
 
     def chunk(starts):
         """Row minima of the blocks at `starts` into row_mins; their column minima."""
         col_mins = np.full(n_y, np.inf) if want_cols else None
-        col_run = np.full(n_y, np.inf)  # running column minima of D
+        col_run = np.full(n_y, np.inf, dtype=np.float32)  # running column minima of D
         x_sq_max = 0.0
         rows_max = min(_BLOCK_ROWS, n_x)
-        D_buf = np.empty((rows_max, n_y))
+        D_buf = np.empty((rows_max, n_y), dtype=np.float32)
         cand_buf = np.empty((rows_max, n_y), dtype=bool)
-        col_buf = np.empty((rows_max, n_y), dtype=bool) if want_cols else None
         for start in starts:
             block = X[start : start + _BLOCK_ROWS]
             nb = block.shape[0]
             rows = slice(start, start + nb)
-            Xa = np.empty((nb, ambient + 2))
+            Xa = np.empty((nb, ambient + 2), dtype=np.float32)
             with np.errstate(over="ignore", invalid="ignore"):
                 np.subtract(block, centre, out=Xa[:, :ambient])
                 Xa[:, ambient] = 1.0
                 Xa[:, ambient + 1] = np.einsum("ij,ij->i", Xa[:, :ambient], Xa[:, :ambient])
-            bound = np.maximum(x_sq_max, Xa[:, ambient + 1].max())  # NaN propagates
+            x_sq = Xa[:, ambient + 1].astype(float)
+            bound = np.maximum(x_sq_max, x_sq.max())  # NaN propagates
             flat = None
             if bound + y_sq_max <= _SQ_LIMIT:
                 x_sq_max = bound
-                tol = c_tol * (_U * (x_sq_max + y_sq_max) + _ETA)
                 D, cand = D_buf[:nb], cand_buf[:nb]
                 _blocked_matmul(Xa, W, out=D)
-                np.less_equal(D, (D.min(axis=1) + tol)[:, None], out=cand)
+                row_thr = thresholds(D.min(axis=1).astype(float), x_sq, y_sq_max)
+                flat = np.flatnonzero(np.less_equal(D, row_thr[:, None], out=cand))
+                n_cand = flat.size
                 if want_cols:
                     np.minimum(col_run, D.min(axis=0), out=col_run)
-                    near_col = np.less_equal(D, col_run + tol, out=col_buf[:nb])
-                    np.logical_or(cand, near_col, out=cand)
-                flat = np.flatnonzero(cand)
-                if 4 * flat.size > nb * n_y:
+                    col_thr = thresholds(col_run.astype(float), y_sq, x_sq_max)
+                    col_flat = np.flatnonzero(np.less_equal(D, col_thr, out=cand))
+                    n_cand += col_flat.size
+                if 4 * n_cand > nb * n_y:
                     flat = None  # mostly ties: the full block is cheaper
             if flat is None:
                 d = _pair_dists(block[:, None, :], Y[None, :, :])
@@ -185,9 +220,14 @@ def _min_dists(X: np.ndarray, Y: np.ndarray, want_cols: bool):
             ii, jj = np.divmod(flat, n_y)
             d = _pair_dists(block[ii], Y[jj])
             # every row has a candidate (its own minimum), and ii is sorted
-            row_mins[rows] = np.minimum.reduceat(d, np.flatnonzero(np.diff(ii, prepend=-1)))
+            row_mins[rows] = np.minimum.reduceat(d, np.searchsorted(ii, np.arange(nb)))
             if want_cols:
-                np.minimum.at(col_mins, jj, d)
+                ii, jj = np.divmod(col_flat, n_y)
+                # these distances are finite, but col_mins may hold a full-path
+                # block's NaN, on which np.minimum.at (not np.minimum) flags invalid
+                best = np.full(n_y, np.inf)
+                np.minimum.at(best, jj, _pair_dists(block[ii], Y[jj]))
+                np.minimum(col_mins, best, out=col_mins)
         return col_mins
 
     starts = range(0, n_x, _BLOCK_ROWS)

@@ -318,6 +318,28 @@ def test_evaluate_rejects_malformed_response_surface(tmp_path, capsys, edit, fie
     assert run_cli("evaluate", "--model", path, "--validation", val) == 2
     assert f"error: response surface: {field} " in capsys.readouterr().err
 
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [pytest.param("bezier", f, id=f"bezier-{f}") for f in ("M", "D", "A", "control_points")]
+    + [
+        pytest.param("surface", f, id=f"surface-{f}")
+        for f in ("M", "exponents", "coefficients", "lo", "span")
+    ],
+)
+def test_evaluate_names_the_file_and_its_missing_field(tmp_path, capsys, kind, field):
+    if kind == "bezier":
+        data = initialize_control_net(np.eye(3), 2).to_dict()
+    else:
+        data = _fit_surface_dict()
+    del data[field]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    val = tmp_path / "v.csv"
+    save_sample(SampleSet(np.random.default_rng(14).uniform(size=(10, 3))), val)
+    assert run_cli("evaluate", "--model", path, "--validation", val) == 2
+    assert capsys.readouterr().err == f"error: {path}: model file has no field '{field}'\n"
+
 # -- experiment ---------------------------------------------------------------------
 
 

@@ -403,3 +403,59 @@ def test_kernel_threads_only_large_calls(monkeypatch):
     assert metrics._workers(441 * 1_000) == 1  # med3 response-surface box grid
     monkeypatch.setattr(metrics, "_cpu_count", lambda: 1)
     assert metrics._workers(194_481 * 1_000) == 1
+
+
+# -- the float32 screen ----------------------------------------------------------------
+
+
+def test_float32_screen_keeps_an_outlier_row_to_itself(monkeypatch):
+    # one far row must not widen every other pair's screen: under one
+    # tolerance for all pairs, this block went to the full path
+    import bsf.metrics as metrics
+
+    rng = np.random.default_rng(5)
+    X = np.vstack([70 + rng.normal(size=(230, 3)), [[824.0, -300.0, 10.0]]])
+    Y = rng.dirichlet(np.ones(3), size=1000)
+    pairs = []
+    real = metrics._pair_dists
+
+    def spy(P, Q):
+        pairs.append(np.prod(np.broadcast_shapes(P.shape, Q.shape)[:-1]))
+        return real(P, Q)
+
+    monkeypatch.setattr(metrics, "_pair_dists", spy)
+    got = metrics._min_dists(X, Y, True)
+    assert sum(pairs) <= 0.05 * X.shape[0] * Y.shape[0]
+    expected = reference_min_dists(X, Y, True)
+    assert np.array_equal(got[0].view(np.uint64), expected[0].view(np.uint64))
+    assert np.array_equal(got[1].view(np.uint64), expected[1].view(np.uint64))
+    assert_kernel_matches_reference(X, Y)
+
+
+# subnormal only in float32 (1e-40, 1e-45); squares below and above the
+# float32 overflow guard (1e18, 1e19); past float32's range (3e38)
+FLOAT32_EDGES = [1e-40, 1e-45, 1e18, 1e19, 3e38]
+
+
+@pytest.mark.parametrize("scale", FLOAT32_EDGES)
+def test_kernel_float32_edge_magnitudes(scale):
+    rng = np.random.default_rng(40)
+    for ambient in (1, 3, 5):
+        X, Y = near_tie_sets(rng, 300, ambient, scale)
+        U, V = near_tie_sets(rng, 300, ambient)
+        mixed_X = rng.permutation(np.vstack([X, U]))
+        mixed_Y = rng.permutation(np.vstack([Y, V]))
+        for A, B in [(X, Y), (mixed_X, mixed_Y), (X, V), (U, Y)]:
+            assert_kernel_matches_reference(A, B)
+            assert_threaded_kernel_matches_reference(A, B, block_rows=64)
+
+
+def test_kernel_every_float32_edge_magnitude_in_one_set():
+    rng = np.random.default_rng(41)
+    parts = [near_tie_sets(rng, 60, 4, scale) for scale in [1.0] + FLOAT32_EDGES]
+    X = rng.permutation(np.vstack([p[0] for p in parts]))
+    Y = rng.permutation(np.vstack([p[1] for p in parts]))
+    assert_kernel_matches_reference(X, Y)
+    assert_kernel_matches_reference(Y, X)
+    assert_threaded_kernel_matches_reference(X, Y, block_rows=64)
+    assert_threaded_kernel_matches_reference(Y, X, block_rows=64)

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from bsf.bezier import _row_blocks
 from bsf.errors import DimensionError
 from bsf.harness import surface_points
 from bsf.pareto import SampleSet
@@ -100,6 +101,27 @@ def test_sample_grid_holds_no_full_grid_intermediate():
     assert grid.shape == (194_481, 5)
     # the result and SampleSet's copy of it, plus a few thousand rows at a time
     assert peak < 3 * grid.nbytes
+
+
+@pytest.mark.parametrize("m, r", [(5, 20), (3, 250)])
+def test_sample_grid_products_run_on_the_blocked_matmul_rows(monkeypatch, m, r):
+    # one threaded product over many blocks can round each row as the blocks
+    # do (OpenBLAS's two threads split at a multiple of 8 rows), so the bit
+    # tests cannot see it; the row spans of the products can
+    rng = np.random.default_rng(10)
+    surface = fit_response_surface(SampleSet(rng.uniform(size=(60, m))))
+    rows = []
+    real = np.matmul
+
+    def spy(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    n = surface.sample_grid(r).n
+    assert n == (r + 1) ** (m - 1)
+    assert np.cumsum([0] + rows).tolist() == _row_blocks(n, len(surface.exponents), None)
+
 
 def test_constant_surface_sampling():
     rng = np.random.default_rng(3)
