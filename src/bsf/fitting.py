@@ -7,9 +7,14 @@ Two fitting strategies share one alternating loop:
   points of already-fitted subfaces are frozen, and only the face-interior
   control points are solved against that face's subsample.
 
-The loop takes a batch of independent fits and advances them in lockstep:
-the skeleton passes every face of one cardinality, all-at-once a batch of
-one. The parameter update is a constrained Newton iteration on the squared
+The loop takes a batch of independent fits and advances them in lockstep.
+Above it, `fit_lockstep` runs several requests, skeleton or all-at-once,
+stage by stage in ascending m: a stage batches every face of one
+cardinality of each skeleton with each all-at-once fit of that m, so the
+methods of one trial share their projection calls. Each public fitter is a
+`fit_lockstep` batch of one. If a batched projection raises, each fit is
+projected again alone, so an error stays with the fit that raised it. The
+parameter update is a constrained Newton iteration on the squared
 distance, with the last barycentric coordinate eliminated and iterates
 clamped back onto the simplex. One call runs it on the samples of every fit
 still in the batch at once, but its stopping rules and its gradient fallback
@@ -339,22 +344,39 @@ def sse(model: BezierSimplex, X, T) -> float:
     return float(np.sum(r * r))
 
 
-def _alternate(models, Xs, cfg, frees) -> list:
+def _project_each(models, Xs, Ts, cfg: FitConfig) -> list:
+    """project_parameter on a batch, with each model's error kept as its own.
+
+    If the batched call raises, each model is projected again alone, in
+    order: a model whose own call raises gets that exception as its result,
+    the others their solo results, which are the bits of the batched ones.
+    """
+    try:
+        return project_parameter(models, Xs, Ts, cfg)
+    except Exception as exc:
+        if len(models) == 1:
+            return [exc]
+    return [_project_each((mo,), (X,), (T,), cfg)[0] for mo, X, T in zip(models, Xs, Ts)]
+
+
+def _alternate(fits, cfg: FitConfig) -> list:
     """Shared alternating loop over a batch of independent fits that share m,
     degree and ambient dimension, advanced in lockstep.
 
-    Each outer iteration projects the parameters of every running fit in one
-    project_parameter call, then solves each fit's free control points on its
-    own. A fit stops when its per-point improvement of sqrt(SSR) falls below
-    cfg.outer_tol or at the iteration cap, and then leaves the batch; what
-    each fit computes is what it would compute alone. Returns, per fit,
-    (model, T, trace, iterations), or the exception that ended it: errors
-    are kept, not raised, so that the caller can raise the first in its own
-    order, as if the fits had run one after another.
+    Each fit is (model, X, free indices). Each outer iteration projects the
+    parameters of every running fit in one project_parameter call, then
+    solves each fit's free control points on its own. A fit stops when its
+    per-point improvement of sqrt(SSR) falls below cfg.outer_tol or at the
+    iteration cap, and then leaves the batch; what each fit computes is what
+    it would compute alone. Returns, per fit, (model, T, trace, iterations),
+    or the exception that ended it: errors are kept, not raised, and stay
+    with the fit that raised them, so that the caller can raise the first in
+    its own order, as if the fits had run one after another.
     """
-    models, frees = list(models), list(frees)
-    out: list = [None] * len(models)
-    Ts, traces = [None] * len(models), [None] * len(models)
+    models = [model for model, _, _ in fits]
+    Xs = [X for _, X, _ in fits]
+    out: list = [None] * len(fits)
+    Ts, traces = [None] * len(fits), [None] * len(fits)
     running = []
     for i, (model, X) in enumerate(zip(models, Xs)):
         try:
@@ -366,23 +388,21 @@ def _alternate(models, Xs, cfg, frees) -> list:
     for _ in range(cfg.max_outer_iters):
         if not running:
             break
-        try:
-            projected = project_parameter(
-                tuple(models[i] for i in running),
-                tuple(Xs[i] for i in running),
-                tuple(Ts[i] for i in running),
-                cfg,
-            )
-        except Exception as exc:
-            for i in running:
-                out[i] = exc
-            break
+        projected = _project_each(
+            tuple(models[i] for i in running),
+            tuple(Xs[i] for i in running),
+            tuple(Ts[i] for i in running),
+            cfg,
+        )
         still = []
         for i, T in zip(running, projected):
+            if isinstance(T, Exception):
+                out[i] = T
+                continue
             X, trace = Xs[i], traces[i]
             Ts[i] = T
             try:
-                models[i] = solve_control_points(X, T, models[i], frees[i])
+                models[i] = solve_control_points(X, T, models[i], fits[i][2])
                 current = sse(models[i], X, T)
             except Exception as exc:
                 out[i] = exc
@@ -398,8 +418,8 @@ def _alternate(models, Xs, cfg, frees) -> list:
     return out
 
 
-def fit_all_at_once(S: SampleSet, vertex_optima, cfg: FitConfig) -> FitResult:
-    """Alternating fit of every control point against the whole sample."""
+def _all_at_once_stages(S: SampleSet, vertex_optima, cfg: FitConfig):
+    """fit_all_at_once as stages for fit_lockstep: one stage, at m = S.m."""
     X = S.ambient()
     if X.shape[0] < 1:
         raise InsufficientDataError("need at least one sample point")
@@ -408,7 +428,7 @@ def fit_all_at_once(S: SampleSet, vertex_optima, cfg: FitConfig) -> FitResult:
         raise DimensionError(
             f"corner points live in R^{model.ambient} but samples in R^{X.shape[1]}"
         )
-    (outcome,) = _alternate([model], [X], cfg, [set(model.indices)])
+    (outcome,) = yield [(model, X, set(model.indices))]
     if isinstance(outcome, Exception):
         raise outcome
     model, T, trace, iterations = outcome
@@ -416,22 +436,9 @@ def fit_all_at_once(S: SampleSet, vertex_optima, cfg: FitConfig) -> FitResult:
     return FitResult(model, T, tuple(trace), iterations)
 
 
-def fit_inductive_skeleton(
-    decomposed: dict[tuple[int, ...], SampleSet], vertex_optima, cfg: FitConfig
-) -> FitResult:
-    """Fit faces in ascending cardinality, freezing subface control points.
-
-    For each face the alternating loop runs on the face's own sub-model with
-    only the face-interior control points free, against that face's
-    subsample. Faces of one cardinality depend only on the frozen lower
-    faces, so they run as one batch of `_alternate`, in lockstep: one
-    projection call per outer iteration covers every face still running,
-    and each face keeps its own solve, stopping test and iteration count.
-    The result is the same as fitting the faces one after another. Missing
-    or empty subsamples for a vertex raise; for larger faces the interior
-    points keep their grid initialization and a warning is recorded in the
-    per-face report. Reports, log lines and errors follow face order.
-    """
+def _skeleton_stages(decomposed: dict[tuple[int, ...], SampleSet], vertex_optima, cfg: FitConfig):
+    """fit_inductive_skeleton as stages for fit_lockstep: one stage per face
+    cardinality that has a face to fit, at m = the cardinality."""
     V = np.atleast_2d(np.asarray(vertex_optima, dtype=float))
     m = V.shape[0]
     model = initialize_control_net(V, cfg.degree)
@@ -441,10 +448,9 @@ def fit_inductive_skeleton(
     faces = enumerate_faces(m, min(cfg.degree, m) if cfg.degree >= 1 else 1)
     for _, same_size in groupby(faces, key=len):
         # per face [face, interior, outcome]: the error the face raises, None
-        # for an empty face, or (model, T, trace, iterations) once the batch
-        # of fits has run; `batched` holds the plan rows of that batch
-        plan, batched = [], []
-        models, Xs, frees = [], [], []
+        # for an empty face, or (model, T, trace, iterations) once the stage
+        # has run; `batched` holds the plan rows of the stage's fits
+        plan, batched, fits = [], [], []
         for face in same_size:
             _, interior = face_indices(m, cfg.degree, face)
             if not interior:
@@ -463,11 +469,11 @@ def fit_inductive_skeleton(
                 )
             else:
                 batched.append(len(plan))
-                models.append(model.restrict(face))
-                Xs.append(X)
-                frees.append({tuple(d[j] for j in face) for d in interior})
+                free = {tuple(d[j] for j in face) for d in interior}
+                fits.append((model.restrict(face), X, free))
             plan.append([face, interior, outcome])
-        for k, outcome in zip(batched, _alternate(models, Xs, cfg, frees)):
+        outcomes = (yield fits) if fits else []
+        for k, outcome in zip(batched, outcomes):
             plan[k][2] = outcome
         pts = model.points.copy()
         for face, interior, outcome in plan:
@@ -488,3 +494,83 @@ def fit_inductive_skeleton(
         model = model.with_points(pts)
     log.info("skeleton fit: %d faces, max %d outer iterations", len(report), max_iters)
     return FitResult(model, None, tuple(last_trace), max_iters, report)
+
+
+_STAGES = {"inductive": _skeleton_stages, "all-at-once": _all_at_once_stages}
+
+
+def fit_lockstep(requests, cfg: FitConfig) -> list:
+    """Run several fits in lockstep; returns per request its FitResult, or
+    the exception that ended it.
+
+    A request is ("inductive", per-face samples, corner points) or
+    ("all-at-once", union sample, corner points). Each is a sequence of
+    stages, each stage a batch of fits of one m: the skeleton has one per
+    face cardinality up to min(degree, M), all-at-once one at m = M. Stages
+    run in ascending m, and the fits of every request waiting at the same m
+    and ambient dimension run as one `_alternate` batch. Each request gets
+    the result, log lines and error that fit_inductive_skeleton or
+    fit_all_at_once give it alone.
+    """
+    stages = [_STAGES[kind](data, corners, cfg) for kind, data, corners in requests]
+    out: list = [None] * len(stages)
+    waiting: dict[int, list] = {}  # request -> the fits of its next stage
+
+    def advance(r, outcomes):
+        try:
+            waiting[r] = stages[r].send(outcomes)
+        except StopIteration as stop:
+            out[r] = stop.value
+        except Exception as exc:
+            out[r] = exc
+
+    for r in range(len(stages)):
+        advance(r, None)
+    while waiting:
+        m = min(fits[0][0].m for fits in waiting.values())
+        now = sorted(r for r, fits in waiting.items() if fits[0][0].m == m)
+        now = {r: waiting.pop(r) for r in now}
+        outcomes = {r: [None] * len(fits) for r, fits in now.items()}
+        groups: dict[int, list] = {}  # ambient dimension -> (request, fit index, fit)
+        for r, fits in now.items():
+            for j, fit in enumerate(fits):
+                groups.setdefault(fit[0].ambient, []).append((r, j, fit))
+        for group in groups.values():
+            for (r, j, _), outcome in zip(group, _alternate([fit for *_, fit in group], cfg)):
+                outcomes[r][j] = outcome
+        for r, done in outcomes.items():
+            advance(r, done)
+    return out
+
+
+def _fit_alone(kind: str, data, vertex_optima, cfg: FitConfig) -> FitResult:
+    (result,) = fit_lockstep([(kind, data, vertex_optima)], cfg)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def fit_all_at_once(S: SampleSet, vertex_optima, cfg: FitConfig) -> FitResult:
+    """Alternating fit of every control point against the whole sample; a
+    fit_lockstep batch of one."""
+    return _fit_alone("all-at-once", S, vertex_optima, cfg)
+
+
+def fit_inductive_skeleton(
+    decomposed: dict[tuple[int, ...], SampleSet], vertex_optima, cfg: FitConfig
+) -> FitResult:
+    """Fit faces in ascending cardinality, freezing subface control points.
+
+    For each face the alternating loop runs on the face's own sub-model with
+    only the face-interior control points free, against that face's
+    subsample. Faces of one cardinality depend only on the frozen lower
+    faces, so they run as one batch of `_alternate`, in lockstep: one
+    projection call per outer iteration covers every face still running,
+    and each face keeps its own solve, stopping test and iteration count.
+    The result is the same as fitting the faces one after another. Missing
+    or empty subsamples for a vertex raise; for larger faces the interior
+    points keep their grid initialization and a warning is recorded in the
+    per-face report. Reports, log lines and errors follow face order. A
+    fit_lockstep batch of one.
+    """
+    return _fit_alone("inductive", decomposed, vertex_optima, cfg)

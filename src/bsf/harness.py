@@ -6,6 +6,11 @@ fitted surface on a barycentric (or box) grid, and scores it with GD/IGD
 against the validation set. By default both point clouds are min-max
 normalized by the validation ranges first, so scores are comparable across
 problems with very different objective scales.
+
+A trial concatenates its face samples once, for all-at-once and the response
+surface, and fits its Bezier methods together in one `fitting.fit_lockstep`
+call, which gives each method the bits and the error of fitting it alone.
+`fit_method`, the one-method path of `bsf fit`, calls the public fitters.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BsfError
-from .fitting import FitConfig, fit_all_at_once, fit_inductive_skeleton
+from .fitting import FitConfig, fit_all_at_once, fit_inductive_skeleton, fit_lockstep
 from .mannwhitney import mann_whitney_u
 from .metrics import gd_igd, grid_sample
 from .pareto import SampleSet, normalizer_from
@@ -154,13 +159,24 @@ def run_trial(cfg: ExperimentConfig, trial: int, problem=None) -> list[TrialRow]
             pool_seed=cfg.seed,
         )
         vertices = vertex_optima_from(training, validation.m)
+        union = SampleSet.concat(training.values())
     except Exception as exc:
         return _data_failure(cfg, trial, exc)
+    data = {"inductive": training, "all-at-once": union}
+    bezier = [method for method in dict.fromkeys(cfg.methods) if method in data]
+    requests = [(method, data[method], vertices) for method in bezier]
+    fitted = dict(zip(bezier, fit_lockstep(requests, FitConfig(degree=cfg.degree))))
     val_points = validation.ambient()
     rows = []
     for method in cfg.methods:
         try:
-            model, result = fit_method(method, training, vertices, FitConfig(degree=cfg.degree))
+            if method == "response-surface":
+                model, result = fit_response_surface(union), None
+            else:
+                result = fitted[method]
+                if isinstance(result, Exception):
+                    raise result
+                model = result.model
             points = surface_points(model, cfg.resolution)
             gd_val, igd_val = score(points, val_points, cfg.normalize)
             iterations = None if result is None else result.outer_iterations

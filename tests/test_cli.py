@@ -370,6 +370,25 @@ def test_experiment_is_byte_reproducible(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("problem, sizes", [("osyczka2", "1,3"), ("viennet2", "1,2,1")])
+def test_experiment_methods_fitted_together_match_each_alone(tmp_path, problem, sizes):
+    # a trial fits its Bezier methods together; each method's rows and
+    # summary entry must be those of a run with that method alone
+    common = ["experiment", "--problem", problem, "--sizes", sizes, "--trials", "3",
+              "--seed", "1", "--validation", "100"]
+    methods = ("inductive", "all-at-once")
+    both = tmp_path / "both"
+    assert run_cli(*common, "--method", methods[0], "--method", methods[1], "--out", both) == 0
+    lines = (both / "results.csv").read_text().splitlines()
+    summary = json.loads((both / "summary.json").read_text())
+    for method in methods:
+        assert run_cli(*common, "--method", method, "--out", tmp_path / method) == 0
+        alone = (tmp_path / method / "results.csv").read_text().splitlines()
+        assert alone == [lines[0]] + [line for line in lines[1:] if line.split(",")[1] == method]
+        alone_summary = json.loads((tmp_path / method / "summary.json").read_text())
+        assert alone_summary["methods"] == {method: summary["methods"][method]}
+
+
 # -- plot --------------------------------------------------------------------------------
 
 

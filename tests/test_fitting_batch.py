@@ -1,6 +1,7 @@
 """The lockstep batch: faces of one cardinality fitted together must give the
-bits of fitting them one after another, and a tuple projection the bits of
-one projection per model.
+bits of fitting them one after another, the fits of several methods run by
+one fit_lockstep call the bits of fitting each alone, and a tuple projection
+the bits of one projection per model.
 
 The references below are the per-face loop and the single-net Newton
 iteration that the batch replaced, kept verbatim apart from names.
@@ -29,13 +30,14 @@ from bsf.fitting import (
     _solve_rows,
     fit_all_at_once,
     fit_inductive_skeleton,
+    fit_lockstep,
     init_parameters,
     initialize_control_net,
     project_parameter,
     solve_control_points,
     sse,
 )
-from bsf.harness import vertex_optima_from
+from bsf.harness import ExperimentConfig, run_trial, vertex_optima_from
 from bsf.pareto import SampleSet, enumerate_faces, face_label
 from bsf.problems import get_problem, make_training_set
 
@@ -445,3 +447,151 @@ def test_single_model_form_is_the_batch_of_one(x, t0, expected):
     assert single == batch
     if expected == "raises":
         assert issubclass(single[1], DimensionError)
+
+
+# -- several methods in lockstep ----------------------------------------------------
+
+
+def trial_data(problem, sizes, seed, graph=False):
+    """A trial's per-face samples, their union and the corner points; pooled
+    problems draw from the pool of seed 0."""
+    training, validation = make_training_set(
+        get_problem(problem), sizes, seed=seed, validation_size=20, with_solutions=graph
+    )
+    V = vertex_optima_from(training, validation.m)
+    return training, SampleSet.concat(training.values()), V
+
+
+def assert_same_outcome(ours, ref):
+    if isinstance(ref, Exception):
+        assert type(ours) is type(ref) and str(ours) == str(ref)
+        return
+    assert bits(ours.model.points) == bits(ref.model.points)
+    assert bits(ours.ssr_trace) == bits(ref.ssr_trace)
+    assert ours.outer_iterations == ref.outer_iterations
+    if ref.parameters is None:
+        assert ours.parameters is None
+    else:
+        assert bits(ours.parameters) == bits(ref.parameters)
+    if ref.per_face_report is None:
+        assert ours.per_face_report is None
+    else:
+        assert_same_reports(ours.per_face_report, ref.per_face_report)
+
+
+def alone(kind, data, V, cfg):
+    fit = fit_inductive_skeleton if kind == "inductive" else fit_all_at_once
+    try:
+        return fit(data, V, cfg)
+    except Exception as exc:
+        return exc
+
+
+LOCKSTEP_CASES = [
+    ("schaffer", (1, 3), False),
+    ("osyczka2", (1, 3), False),
+    ("med3", (1, 2, 1), False),
+    ("viennet2", (1, 2, 1), False),
+    ("medM:4", (1, 2, 3), True),  # no 4-face sample: all-at-once has stage 4 alone
+    ("medM:4", (1, 1, 2, 2), True),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LOCKSTEP_CASES), st.integers(0, 4), st.integers(0, 2**16),
+       st.booleans())
+# degree < M: all-at-once runs in a stage of its own
+@example(("med3", (1, 2, 1), False), 2, 5, False)
+@example(("medM:4", (1, 1, 2, 2), True), 3, 1, True)
+def test_lockstep_matches_separate_fits(case, degree, seed, reverse):
+    problem, sizes, graph = case
+    training, union, V = trial_data(problem, sizes, seed, graph)
+    cfg = FitConfig(degree=degree)
+    requests = [("inductive", training, V), ("all-at-once", union, V)]
+    if reverse:
+        requests.reverse()
+    for (kind, data, _), outcome in zip(requests, fit_lockstep(requests, cfg)):
+        assert_same_outcome(outcome, alone(kind, data, V, cfg))
+
+
+def test_lockstep_keeps_each_error_with_its_request():
+    # a skeleton without a vertex sample fails before its first stage, an
+    # all-at-once fit with no points at once; the third request still runs
+    training, union, V = trial_data("med3", (1, 2, 1), seed=2)
+    broken = {face: S for face, S in training.items() if face != (1,)}
+    empty = SampleSet(np.zeros((0, 3)))
+    cfg = FitConfig(degree=3)
+    outcomes = fit_lockstep(
+        [("inductive", broken, V), ("all-at-once", empty, V), ("all-at-once", union, V)], cfg
+    )
+    assert isinstance(outcomes[0], InsufficientDataError)
+    assert str(outcomes[0]) == "no sample for vertex face 2"
+    assert isinstance(outcomes[1], InsufficientDataError)
+    assert_same_outcome(outcomes[2], fit_all_at_once(union, V, cfg))
+    assert fit_lockstep([], cfg) == []
+
+
+def _failing_on(n_points, monkeypatch):
+    """Make project_parameter raise whenever one of its blocks has n_points rows."""
+    original = fitting.project_parameter
+
+    def failing(models, xs, t0s, cfg):
+        if any(np.shape(x)[0] == n_points for x in xs):
+            raise ValueError(f"projection failed on {n_points} points")
+        return original(models, xs, t0s, cfg)
+
+    monkeypatch.setattr(fitting, "project_parameter", failing)
+
+
+def test_projection_error_stays_with_its_fit(monkeypatch):
+    # osyczka2 (1, 3): the edge fits 3 points, all-at-once their union of 5.
+    # Both run at m = 2 in one projection call, which fails for the union;
+    # only the all-at-once fit may see that error
+    training, union, V = trial_data("osyczka2", (1, 3), seed=4)
+    cfg = FitConfig(degree=3)
+    skeleton = fit_inductive_skeleton(training, V, cfg)
+    assert union.n == 5 and training[(0, 1)].n == 3
+    _failing_on(5, monkeypatch)
+    outcomes = fit_lockstep([("inductive", training, V), ("all-at-once", union, V)], cfg)
+    assert_same_outcome(outcomes[0], skeleton)
+    assert isinstance(outcomes[1], ValueError)
+    assert str(outcomes[1]) == "projection failed on 5 points"
+    with pytest.raises(ValueError, match="on 5 points"):
+        fit_all_at_once(union, V, cfg)
+
+
+def test_projection_error_leaves_the_other_method_row_alone(monkeypatch):
+    cfg = ExperimentConfig("osyczka2", methods=("inductive", "all-at-once"), sizes=(1, 3),
+                           trials=1, seed=0, validation_size=50)
+    _failing_on(5, monkeypatch)
+    inductive, failed = run_trial(cfg, 0)
+    (solo,) = run_trial(ExperimentConfig("osyczka2", sizes=(1, 3), trials=1, seed=0,
+                                         validation_size=50), 0)
+    assert inductive == solo and inductive.error is None
+    assert failed.method == "all-at-once" and failed.error == "projection failed on 5 points"
+    assert failed.gd is None and failed.iterations is None
+
+
+def test_methods_of_a_trial_share_their_projection_calls(monkeypatch):
+    # osyczka2 (1, 3): the edge and all-at-once are both m = 2 fits in R^2.
+    # While both run, each outer iteration makes one projection call on a
+    # tuple of the two models; separate fits would make one call each
+    cfg = ExperimentConfig("osyczka2", methods=("inductive", "all-at-once"), sizes=(1, 3),
+                           trials=1, seed=0, validation_size=50)
+    training, union, V = trial_data("osyczka2", (1, 3), seed=0)
+    fit_cfg = FitConfig(degree=cfg.degree)
+    edge = fit_inductive_skeleton(training, V, fit_cfg).per_face_report[(0, 1)].iterations
+    whole = fit_all_at_once(union, V, fit_cfg).outer_iterations
+    calls = []
+    original = fitting.project_parameter
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "project_parameter", counting)
+    rows = run_trial(cfg, 0)
+    assert all(row.error is None for row in rows)
+    at_2 = [c for c in calls if c[0].m == 2]
+    assert len(at_2) == max(edge, whole)
+    assert [len(c) for c in at_2] == [2] * min(edge, whole) + [1] * abs(edge - whole)
