@@ -47,6 +47,9 @@ REPAIR_TOLERANCE = 1e-9
 _GEMM_LIMIT = 1 << 18
 _GEMV_LIMIT = 2304 * 4 - 1
 _ROW_UNIT = 8
+# rows a grid is made in per step (`_grid_chunks`), rounded down to whole
+# product blocks
+_GRID_CHUNK_ROWS = 4096
 
 
 def multi_indices(m: int, degree: int) -> tuple[tuple[int, ...], ...]:
@@ -134,9 +137,25 @@ def _blocked_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None)
         if len(bounds) == 2:
             return A @ B
         out = np.empty((A.shape[0],) + B.shape[1:], dtype=np.result_type(A, B))
+    return _matmul_on(A, B, bounds, out)
+
+
+def _matmul_on(A: np.ndarray, B: np.ndarray, bounds, out: np.ndarray) -> np.ndarray:
+    """A @ B into `out`, one product per block of `bounds`: row numbers of a
+    larger product, of which A holds rows bounds[0]:bounds[-1]."""
+    base = bounds[0]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.matmul(A[lo:hi], B, out=out[lo:hi])
+        np.matmul(A[lo - base:hi - base], B, out=out[lo - base:hi - base])
     return out
+
+
+def _grid_chunks(n: int, inner: int, cols: int | None) -> list[list[int]]:
+    """The `_row_blocks` bounds of an (n, inner) product, grouped into chunks of
+    whole blocks and about `_GRID_CHUNK_ROWS` rows: a grid made one chunk at a
+    time, one product per block of the chunk, has the bits of one product."""
+    bounds = _row_blocks(n, inner, cols)
+    per_chunk = max(1, _GRID_CHUNK_ROWS // bounds[1])
+    return [bounds[k:k + per_chunk + 1] for k in range(0, len(bounds) - 1, per_chunk)]
 
 
 def monomials(T, E) -> np.ndarray:

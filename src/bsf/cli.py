@@ -29,6 +29,7 @@ from .harness import (
     run_sweep,
     score,
     surface_points,
+    surface_rows,
     vertex_optima_from,
     write_rows,
     write_summary,
@@ -232,8 +233,8 @@ def _validation_points(model, validation: SampleSet) -> np.ndarray:
 def cmd_evaluate(args) -> int:
     model = _load_model_file(args.model)
     validation = load_sample(args.validation)
-    points = surface_points(model, args.resolution)
-    gd_val, igd_val = score(points, _validation_points(model, validation), args.normalize)
+    val_points = _validation_points(model, validation)
+    gd_val, igd_val = score(surface_rows(model, args.resolution), val_points, args.normalize)
     print(f"GD={gd_val!r} IGD={igd_val!r}")
     if args.out:
         Path(args.out).write_text(f"gd,igd\n{gd_val!r},{igd_val!r}\n")

@@ -5,7 +5,8 @@ and validation sets, fits every requested method on the same data, samples the
 fitted surface on a barycentric (or box) grid, and scores it with GD/IGD
 against the validation set. By default both point clouds are min-max
 normalized by the validation ranges first, so scores are comparable across
-problems with very different objective scales.
+problems with very different objective scales. The grid is never built whole:
+the GD/IGD kernel makes, normalizes and scores it a chunk at a time.
 
 A trial concatenates its face samples once, for all-at-once and the response
 surface, and fits its Bezier methods together in one `fitting.fit_lockstep`
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import BsfError
 from .fitting import FitConfig, fit_all_at_once, fit_inductive_skeleton, fit_lockstep
 from .mannwhitney import mann_whitney_u
-from .metrics import gd_igd, grid_sample
+from .metrics import RowSource, gd_igd, grid_rows
 from .pareto import SampleSet, normalizer_from
 from .problems import get_problem, make_training_set
 from .response_surface import ResponseSurface, fit_response_surface
@@ -112,23 +113,28 @@ def fit_method(method, training, vertices, fit_cfg: FitConfig):
     return fit_response_surface(union), None
 
 
-def surface_points(model, resolution: int) -> np.ndarray:
-    """Grid sample of a fitted model: barycentric for a Bezier simplex, the
-    (resolution + 1)^(M-1) box for a response surface."""
+def surface_rows(model, resolution: int) -> RowSource:
+    """Grid sample of a fitted model as a row source: barycentric for a Bezier
+    simplex, the (resolution + 1)^(M-1) box for a response surface."""
     if isinstance(model, ResponseSurface):
-        return model.sample_grid(resolution).objectives
-    return grid_sample(model, resolution).objectives
+        return model.grid_rows(resolution)
+    return grid_rows(model, resolution)
 
 
-def score(sample_points: np.ndarray, validation_points: np.ndarray, normalize: bool):
-    """GD/IGD of a sample against a validation set, both first min-max
-    normalized by the validation ranges when `normalize`; neither input is
-    modified."""
+def surface_points(model, resolution: int) -> np.ndarray:
+    """`surface_rows` collected into one array."""
+    return surface_rows(model, resolution).collect()
+
+
+def score(sample, validation_points: np.ndarray, normalize: bool):
+    """GD/IGD of a sample (points or a RowSource) against a validation set,
+    both first min-max normalized by the validation ranges when `normalize`,
+    the sample chunk by chunk; neither input is modified."""
     if normalize:
         lo, span = normalizer_from(validation_points)
-        sample_points = _normalized(sample_points, lo, span)
+        sample = RowSource.of(sample).map(lambda rows: _normalized(rows, lo, span))
         validation_points = _normalized(validation_points, lo, span)
-    return gd_igd(sample_points, validation_points)
+    return gd_igd(sample, validation_points)
 
 
 def _normalized(points: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
@@ -177,8 +183,7 @@ def run_trial(cfg: ExperimentConfig, trial: int, problem=None) -> list[TrialRow]
                 if isinstance(result, Exception):
                     raise result
                 model = result.model
-            points = surface_points(model, cfg.resolution)
-            gd_val, igd_val = score(points, val_points, cfg.normalize)
+            gd_val, igd_val = score(surface_rows(model, cfg.resolution), val_points, cfg.normalize)
             iterations = None if result is None else result.outer_iterations
             rows.append(TrialRow(cfg.problem, method, cfg.sizes, trial, gd_val, igd_val, iterations))
         except Exception as exc:  # recorded per row; the caller decides severity

@@ -18,22 +18,41 @@ coordinates, or squares past float32's range) or where most pairs tie (so
 that gathering them would cost more than the full block) are computed in
 full with the exact expression.
 
-Large calls split the blocks over one thread per usable CPU (`_min_dists`).
-Pass 1's products run in row blocks that OpenBLAS keeps on the calling thread
-(`bezier._blocked_matmul`), so the cores go to those threads and not to BLAS
-threads that spin between calls.
+The sample side of a call is a row source (`RowSource`): rows made one chunk
+at a time. A fitted model's grid is such a source (`grid_rows`, and
+`ResponseSurface.grid_rows`), whose chunks are whole row blocks of the grid's
+product, so each row has the bits of sampling the whole grid at once; an array
+is a source of one kernel block per chunk. The kernel makes each chunk when it
+comes to it and runs its blocks from the chunk's first row; the rounding bound
+holds per block, so any partition of the rows gives the same minima, and no
+array of the whole grid is built to score it.
+
+Large calls split the chunks over one thread per usable CPU (`_min_dists`),
+which make their chunks themselves. Pass 1's products run in row blocks that
+OpenBLAS keeps on the calling thread (`bezier._blocked_matmul`), so the cores
+go to those threads and not to BLAS threads that spin between calls.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .bezier import BezierSimplex, _blocked_matmul, barycentric_grid
+from .bezier import (
+    BezierSimplex,
+    _blocked_matmul,
+    _grid_chunks,
+    _matmul_on,
+    as_barycentric_rows,
+    multi_indices,
+    weighted_design_matrix,
+)
 from .errors import DimensionError
-from .pareto import SampleSet
+from .pareto import SampleSet, check_finite
 
 # Rows per block. Each block makes dozens of small numpy calls, which hold
 # the GIL while the kernel's threads run, so fewer, larger blocks run faster
@@ -65,13 +84,76 @@ def _workers(pairs: int) -> int:
     return max(1, min(_cpu_count(), pairs // _PAIRS_PER_WORKER))
 
 
-def grid_sample(model: BezierSimplex, resolution: int) -> SampleSet:
-    """Model values on the barycentric grid with the given denominator.
+@dataclass(frozen=True)
+class RowSource:
+    """The rows of an (n, width) point set, made one chunk at a time.
 
-    Yields C(resolution + m - 1, m - 1) points in R^ambient.
+    `chunks` lists the chunks in row order, each as a list of row bounds: its
+    first row, the bounds of the products that build it, and the row after
+    its last. `make(bounds)` returns that chunk's rows; no array of the whole
+    set need exist. len() is n, as for the array itself.
     """
-    grid = barycentric_grid(model.m, resolution)
-    return SampleSet(model.evaluate_batch(grid))
+
+    n: int
+    width: int
+    chunks: list
+    make: Callable[[list], np.ndarray]
+
+    @classmethod
+    def of(cls, points) -> "RowSource":
+        """A source over the rows of `points` (array-like or SampleSet), a
+        `_BLOCK_ROWS` block per chunk; a source is returned as it is."""
+        if isinstance(points, RowSource):
+            return points
+        points = _points(points)
+        n = points.shape[0]
+        chunks = [[lo, min(lo + _BLOCK_ROWS, n)] for lo in range(0, n, _BLOCK_ROWS)]
+        return cls(n, points.shape[1], chunks, lambda bounds: points[bounds[0]:bounds[-1]])
+
+    def __len__(self) -> int:
+        return self.n
+
+    def map(self, fn) -> "RowSource":
+        """The same chunks, each passed through `fn` (which keeps its shape)."""
+        return replace(self, make=lambda bounds: fn(self.make(bounds)))
+
+    def collect(self) -> np.ndarray:
+        """Every row in one (n, width) array."""
+        out = np.empty((self.n, self.width))
+        for bounds in self.chunks:
+            out[bounds[0]:bounds[-1]] = self.make(bounds)
+        return out
+
+
+def grid_rows(model: BezierSimplex, resolution: int) -> RowSource:
+    """Model values on the barycentric grid with the given denominator, as a
+    source of C(resolution + m - 1, m - 1) rows in R^ambient.
+
+    Each chunk is validated (`as_barycentric_rows`), weighted and multiplied
+    out on its own, on the `_row_blocks` bounds of the whole grid's product,
+    so every row has the bits `model.evaluate_batch(barycentric_grid(m,
+    resolution))` gives it. A row that overflows raises DimensionError.
+    """
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
+    grid = multi_indices(model.m, resolution)
+    n, ambient = len(grid), model.ambient
+
+    def make(bounds):
+        lo, hi = bounds[0], bounds[-1]
+        T = as_barycentric_rows(np.array(grid[lo:hi], dtype=float) / resolution, model.m)
+        design = weighted_design_matrix(model.m, model.degree, T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _matmul_on(design, model.points, bounds, np.empty((hi - lo, ambient)))
+        return check_finite(out)
+
+    return RowSource(n, ambient, _grid_chunks(n, len(model.indices), ambient), make)
+
+
+def grid_sample(model: BezierSimplex, resolution: int) -> SampleSet:
+    """Model values on the barycentric grid with the given denominator:
+    `grid_rows` collected."""
+    return SampleSet(grid_rows(model, resolution).collect())
 
 
 def _points(obj) -> np.ndarray:
@@ -85,8 +167,10 @@ def _pair_dists(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((P - Q) ** 2, axis=-1))
 
 
-def _min_dists(X: np.ndarray, Y: np.ndarray, want_cols: bool):
-    """Per-row (and, if asked, per-column) minima of `_pair_dists(X[i], Y[j])`.
+def _min_dists(X, Y: np.ndarray, want_cols: bool):
+    """Per-row (and, if asked, per-column) minima of `_pair_dists(X[i], Y[j])`;
+    X is an array or a RowSource, and its chunks are taken in blocks of
+    `_BLOCK_ROWS` rows.
 
     Pass 1 centres both sets on c, the midpoint of Y's bounding box, and for
     each block of `_BLOCK_ROWS` rows takes one float32 matrix product of
@@ -143,16 +227,21 @@ def _min_dists(X: np.ndarray, Y: np.ndarray, want_cols: bool):
     computed instead, so memory stays within that of the full block's
     (rows, n_Y, A) tensors.
 
-    Large calls split the blocks into contiguous chunks, one per worker
-    thread (`_workers`). A chunk keeps its own running column minima of D,
-    its own largest row norm and its own column minima, so the argument
-    above holds within each chunk: B and the earlier blocks a column is
-    compared against cover that chunk's blocks only. Chunks write their row
-    minima to disjoint slices, and their column minima merge by np.minimum
-    in chunk order, which keeps the first NaN just as one pass over the
-    blocks would. Workers call numpy only.
+    Nothing above depends on where the blocks start, so X's chunks may have
+    any sizes: each is made when its turn comes and split into blocks from
+    its own first row. An array is a source of one block per chunk.
+
+    Large calls split the chunks into contiguous runs, one per worker thread
+    (`_workers`), which makes its chunks itself. A run keeps its own running
+    column minima of D, its own largest row norm and its own column minima,
+    so the argument above holds within each run: B and the earlier blocks a
+    column is compared against cover that run's blocks only. Runs write their
+    row minima to disjoint slices, and their column minima merge by
+    np.minimum in run order, which keeps the first NaN just as one pass over
+    the blocks would. Workers call numpy and the source's chunk maker only.
     """
-    n_x = X.shape[0]
+    X = RowSource.of(X)
+    n_x = len(X)
     n_y, ambient = Y.shape
     row_mins = np.empty(n_x)
     W = np.empty((ambient + 2, n_y), dtype=np.float32)
@@ -177,16 +266,22 @@ def _min_dists(X: np.ndarray, Y: np.ndarray, want_cols: bool):
         thr = least + 2 * (2 * _U * err + (3 * ambient + 2) * _ETA)
         return np.nextafter(thr.astype(np.float32), np.float32(np.inf))  # rounded up
 
-    def chunk(starts):
-        """Row minima of the blocks at `starts` into row_mins; their column minima."""
+    def blocks(chunks):
+        """(first row, rows) of each `_BLOCK_ROWS` block of the chunks, made in turn."""
+        for bounds in chunks:
+            points = X.make(bounds)
+            for start in range(0, points.shape[0], _BLOCK_ROWS):
+                yield bounds[0] + start, points[start : start + _BLOCK_ROWS]
+
+    def run(chunks):
+        """Row minima of the rows of `chunks` into row_mins; their column minima."""
         col_mins = np.full(n_y, np.inf) if want_cols else None
         col_run = np.full(n_y, np.inf, dtype=np.float32)  # running column minima of D
         x_sq_max = 0.0
         rows_max = min(_BLOCK_ROWS, n_x)
         D_buf = np.empty((rows_max, n_y), dtype=np.float32)
         cand_buf = np.empty((rows_max, n_y), dtype=bool)
-        for start in starts:
-            block = X[start : start + _BLOCK_ROWS]
+        for start, block in blocks(chunks):
             nb = block.shape[0]
             rows = slice(start, start + nb)
             Xa = np.empty((nb, ambient + 2), dtype=np.float32)
@@ -230,19 +325,19 @@ def _min_dists(X: np.ndarray, Y: np.ndarray, want_cols: bool):
                 np.minimum(col_mins, best, out=col_mins)
         return col_mins
 
-    starts = range(0, n_x, _BLOCK_ROWS)
-    workers = min(_workers(n_x * n_y), len(starts))
+    chunks = X.chunks
+    workers = min(_workers(n_x * n_y), len(chunks))
     if workers == 1:
-        return row_mins, chunk(starts)
-    bounds = [i * len(starts) // workers for i in range(workers + 1)]
+        return row_mins, run(chunks)
+    splits = [i * len(chunks) // workers for i in range(workers + 1)]
     err = np.geterr()  # a new thread starts from numpy's default error handling
 
     def in_thread(part):
         with np.errstate(**err):
-            return chunk(part)
+            return run(part)
 
     with ThreadPoolExecutor(workers) as pool:
-        parts = list(pool.map(in_thread, [starts[a:b] for a, b in zip(bounds[:-1], bounds[1:])]))
+        parts = list(pool.map(in_thread, [chunks[a:b] for a, b in zip(splits[:-1], splits[1:])]))
     col_mins = parts[0]
     if want_cols:
         for part in parts[1:]:
@@ -251,20 +346,25 @@ def _min_dists(X: np.ndarray, Y: np.ndarray, want_cols: bool):
 
 
 def _check_pair(X, Y):
-    X, Y = _points(X), _points(Y)
-    if X.shape[0] == 0 or Y.shape[0] == 0:
+    X, Y = RowSource.of(X), _points(Y)
+    if len(X) == 0 or Y.shape[0] == 0:
         raise DimensionError("distance between point sets needs both nonempty")
-    if X.shape[1] != Y.shape[1]:
-        raise DimensionError(f"point sets disagree in dimension: {X.shape[1]} vs {Y.shape[1]}")
+    if X.width != Y.shape[1]:
+        raise DimensionError(f"point sets disagree in dimension: {X.width} vs {Y.shape[1]}")
     return X, Y
 
 
+def _mean(dists: np.ndarray) -> float:
+    """Plain left-to-right sum over the count, as a scalar loop would give it."""
+    return float(np.add.accumulate(dists)[-1]) / dists.shape[0]
+
+
 def gd(X, Y) -> float:
-    """Mean distance from each point of X to its nearest point of Y."""
+    """Mean distance from each point of X to its nearest point of Y; X may be
+    a RowSource."""
     X, Y = _check_pair(X, Y)
     row_mins, _ = _min_dists(X, Y, want_cols=False)
-    # plain left-to-right sum, same as a scalar loop would produce
-    return sum(row_mins.tolist()) / X.shape[0]
+    return _mean(row_mins)
 
 
 def igd(X, Y) -> float:
@@ -273,10 +373,8 @@ def igd(X, Y) -> float:
 
 
 def gd_igd(X, Y) -> tuple[float, float]:
-    """Both directed means in one pairwise pass; equals (gd(X, Y), igd(X, Y))."""
+    """Both directed means in one pairwise pass; equals (gd(X, Y), igd(X, Y)).
+    X may be a RowSource."""
     X, Y = _check_pair(X, Y)
     row_mins, col_mins = _min_dists(X, Y, want_cols=True)
-    return (
-        sum(row_mins.tolist()) / X.shape[0],
-        sum(col_mins.tolist()) / Y.shape[0],
-    )
+    return _mean(row_mins), _mean(col_mins)

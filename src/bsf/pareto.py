@@ -29,16 +29,14 @@ class SampleSet:
         obj = np.atleast_2d(np.array(self.objectives, dtype=float, copy=True))
         if obj.ndim != 2:
             raise DimensionError(f"objectives must be 2-d, got shape {obj.shape}")
-        if not np.all(np.isfinite(obj)):
-            raise DimensionError("objectives must be finite")
+        check_finite(obj)
         obj.setflags(write=False)
         object.__setattr__(self, "objectives", obj)
         if self.solutions is not None:
             sol = np.atleast_2d(np.array(self.solutions, dtype=float, copy=True))
             if sol.shape[0] != obj.shape[0]:
                 raise DimensionError("solutions and objectives disagree in point count")
-            if not np.all(np.isfinite(sol)):
-                raise DimensionError("solutions must be finite")
+            check_finite(sol, "solutions")
             sol.setflags(write=False)
             object.__setattr__(self, "solutions", sol)
 
@@ -85,6 +83,13 @@ class SampleSet:
         if sets[0].solutions is not None:
             sol = np.vstack([s.solutions for s in sets])
         return SampleSet(obj, sol)
+
+
+def check_finite(points: np.ndarray, name: str = "objectives") -> np.ndarray:
+    """`points`, or a DimensionError if any entry is NaN or infinite."""
+    if not np.all(np.isfinite(points)):
+        raise DimensionError(f"{name} must be finite")
+    return points
 
 
 def normalizer_from(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

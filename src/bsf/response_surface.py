@@ -16,12 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bezier import _blocked_matmul, _row_blocks, monomials
+from .bezier import _blocked_matmul, _grid_chunks, monomials
 from .errors import DimensionError, ParseError
-from .pareto import SampleSet, normalizer_from
-
-# rows built per step of `sample_grid`, rounded down to whole product blocks
-_GRID_CHUNK_ROWS = 4096
+from .metrics import RowSource
+from .pareto import SampleSet, check_finite, normalizer_from
 
 
 def cubic_basis_exponents(n_inputs: int) -> tuple[tuple[int, ...], ...]:
@@ -58,14 +56,18 @@ class ResponseSurface:
 
     def sample_grid(self, resolution: int) -> SampleSet:
         """(resolution + 1)^(m-1) surface points over the normalized unit box,
-        mapped back to objective space, in the row order of
+        mapped back to objective space: `grid_rows` collected."""
+        return SampleSet(self.grid_rows(resolution).collect())
+
+    def grid_rows(self, resolution: int) -> RowSource:
+        """`sample_grid`'s points as a row source, in the row order of
         itertools.product(axis, repeat=m-1).
 
-        The rows are built a few thousand at a time, so no full-grid array but
-        the result exists. Each is the row of one C-contiguous design matrix
+        The rows are made a few thousand at a time, so no full-grid array
+        need exist. Each is the row of one C-contiguous design matrix
         `monomials(U)` of the whole grid, and each product runs on the block
         `_blocked_matmul` would give it: every bit is that of predicting the
-        whole grid at once.
+        whole grid at once. A row that overflows raises DimensionError.
         """
         if resolution < 1:
             raise ValueError("resolution must be at least 1")
@@ -78,26 +80,26 @@ class ResponseSurface:
         tables = [axis[:, None] ** E[:, j] for j in range(self.m - 1)]
         shape = (resolution + 1,) * (self.m - 1)
         n = (resolution + 1) ** (self.m - 1)
-        out = np.empty((n, self.m))
-        bounds = _row_blocks(n, len(E), None)
-        per_chunk = max(1, _GRID_CHUNK_ROWS // bounds[1])
-        for k in range(0, len(bounds) - 1, per_chunk):
-            blocks = bounds[k:k + per_chunk + 1]
-            c0, c1 = blocks[0], blocks[-1]
-            idx = np.unravel_index(np.arange(c0, c1), shape)
-            design = tables[0].take(idx[0], axis=0)
-            for table, i in zip(tables[1:], idx[1:]):
-                design *= table.take(i, axis=0)
-            y = np.empty(c1 - c0)
-            for lo, hi in zip(blocks[:-1], blocks[1:]):
-                np.matmul(design[lo - c0:hi - c0], self.coefficients, out=y[lo - c0:hi - c0])
-            rows = out[c0:c1]
-            for j, i in enumerate(idx):
-                rows[:, j] = axis[i]
-            rows[:, -1] = y
-            rows *= self.span  # lo + span * row, as one whole-grid expression rounds it
-            rows += self.lo
-        return SampleSet(out)
+
+        def make(bounds):
+            c0 = bounds[0]
+            rows = np.empty((bounds[-1] - c0, self.m))
+            with np.errstate(over="ignore", invalid="ignore"):
+                # design rows one product block at a time: K columns each, to a chunk row's M
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    idx = np.unravel_index(np.arange(lo, hi), shape)
+                    design = tables[0].take(idx[0], axis=0)
+                    for table, i in zip(tables[1:], idx[1:]):
+                        design *= table.take(i, axis=0)
+                    block = rows[lo - c0:hi - c0]
+                    for j, i in enumerate(idx):
+                        block[:, j] = axis[i]
+                    block[:, -1] = np.matmul(design, self.coefficients)
+                rows *= self.span  # lo + span * row, as one whole-grid expression rounds it
+                rows += self.lo
+            return check_finite(rows)
+
+        return RowSource(n, self.m, _grid_chunks(n, len(E), None), make)
 
     def to_dict(self) -> dict:
         return {

@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsf.bezier import (
@@ -27,7 +28,7 @@ from bsf.bezier import (
     multi_indices,
     weighted_design_matrix,
 )
-from bsf.metrics import grid_sample
+from bsf.metrics import grid_rows, grid_sample
 from bsf.pareto import SampleSet
 from bsf.response_surface import fit_response_surface
 
@@ -132,6 +133,24 @@ def test_grid_sample_keeps_the_bits_of_one_product(tmp_path):
     )
     for model, (_, _, r, _), want in zip(models, cases, expected):
         assert same_bits(grid_sample(model, r).objectives, want), (model.m, r)
+
+
+@pytest.mark.parametrize("m, degree, r, ambient", [(5, 3, 20, 5), (5, 3, 17, 5), (5, 3, 20, 10), (3, 2, 20, 3)])
+def test_grid_rows_products_run_on_the_blocked_matmul_rows(monkeypatch, m, degree, r, ambient):
+    # as for the response surface's grid: the bit tests cannot see a threaded
+    # product that rounds each row as the blocks do, the row spans can
+    rng = np.random.default_rng(23)
+    model = BezierSimplex(m, degree, rng.normal(size=(len(multi_indices(m, degree)), ambient)))
+    rows = []
+    real = np.matmul
+
+    def spy(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    n = len(grid_rows(model, r).collect())
+    assert np.cumsum([0] + rows).tolist() == _row_blocks(n, len(model.indices), ambient)
 
 
 def test_predict_normalized_keeps_the_bits_of_one_product(tmp_path):

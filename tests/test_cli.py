@@ -265,6 +265,39 @@ def test_evaluate_normalized_response_surface_equals_harness_score(tmp_path, cap
 
 
 
+def test_evaluate_prints_the_pinned_med5_scores(tmp_path, capsys):
+    # the scores the whole-grid path printed; streaming the grid keeps every bit
+    data = tmp_path / "data"
+    assert run_cli("generate", "--problem", "med5", "--sizes", "1,2,1", "--seed", "3", "--out", data) == 0
+    surface, skeleton = tmp_path / "surface.json", tmp_path / "inductive.json"
+    assert run_cli("fit", "--method", "response-surface", "--data", data, "--out", surface) == 0
+    assert run_cli("fit", "--method", "inductive", "--data", data, "--out", skeleton) == 0
+    capsys.readouterr()
+    for model, flags, line in [
+        (surface, (), "GD=3.2605749595876508 IGD=0.08107722110463798"),
+        (surface, ("--no-normalize",), "GD=2.806861253440989 IGD=0.060171875922024304"),
+        (skeleton, (), "GD=0.5987479567233183 IGD=0.10544097076874348"),
+    ]:
+        assert run_cli("evaluate", "--model", model, "--validation", data / "validation.csv", *flags) == 0
+        assert capsys.readouterr().out == line + "\n"
+
+
+def test_evaluate_overflowing_surface_fails_cleanly(tmp_path, capsys, monkeypatch):
+    import bsf.metrics as metrics
+
+    monkeypatch.setattr(metrics, "_cpu_count", lambda: 2)  # the grid is made on worker threads
+    data = tmp_path / "data"
+    assert run_cli("generate", "--problem", "med5", "--sizes", "1,2,1", "--seed", "3", "--out", data) == 0
+    path = tmp_path / "surface.json"
+    assert run_cli("fit", "--method", "response-surface", "--data", data, "--out", path) == 0
+    record = json.loads(path.read_text())
+    record["coefficients"] = [1e308] * len(record["coefficients"])
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--model", path, "--validation", data / "validation.csv") == 2
+    assert capsys.readouterr().err == "error: objectives must be finite\n"
+
+
 def _fit_surface_dict(m=3):
     from bsf.response_surface import fit_response_surface
 

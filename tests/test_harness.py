@@ -1,15 +1,18 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import bsf.harness as harness
 from bsf.harness import (
     ExperimentConfig,
     TrialRow,
     read_rows,
     run_experiment,
     run_sweep,
+    run_trial,
     score,
     summarize,
     u_tests,
@@ -179,3 +182,21 @@ def test_score_is_gd_igd_of_the_normalized_pair_and_keeps_its_inputs(normalize):
     assert score(sample, validation, normalize) == expected
     assert np.array_equal(sample.view(np.uint64), sample_before.view(np.uint64))
     assert np.array_equal(validation.view(np.uint64), validation_before.view(np.uint64))
+
+
+def test_overflowing_surface_fails_its_row_cleanly(monkeypatch):
+    import bsf.metrics as metrics
+
+    monkeypatch.setattr(metrics, "_cpu_count", lambda: 2)  # the grid is made on worker threads
+    real = harness.fit_response_surface
+
+    def overflowing(S):
+        surface = real(S)
+        return replace(surface, coefficients=np.full(len(surface.exponents), 1e308))
+
+    monkeypatch.setattr(harness, "fit_response_surface", overflowing)
+    cfg = ExperimentConfig("med5", ("inductive", "response-surface"), trials=1)
+    inductive, surface = run_trial(cfg, 0)
+    assert inductive.error is None
+    assert surface == TrialRow("med5", "response-surface", (1, 2, 1), 0, None, None, None,
+                               "objectives must be finite")

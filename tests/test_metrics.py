@@ -1,13 +1,18 @@
 from contextlib import contextmanager
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from bsf.bezier import BezierSimplex, barycentric_grid, multi_indices
 from bsf.errors import DimensionError
-from bsf.fitting import initialize_control_net
+from bsf.fitting import FitConfig, initialize_control_net
+from bsf.harness import fit_method, score, surface_rows, vertex_optima_from
 from bsf.metrics import gd, gd_igd, grid_sample, igd
-from bsf.pareto import SampleSet
+from bsf.pareto import SampleSet, normalizer_from
+from bsf.problems import get_problem, make_training_set
+from bsf.response_surface import fit_response_surface
 
 
 def pair_distance(a, b):
@@ -45,6 +50,15 @@ def test_gd_three_four_five():
 def test_gd_identical_sets_zero():
     X = np.random.default_rng(0).normal(size=(30, 3))
     assert gd(X, X) == 0.0
+
+
+def test_means_are_plain_left_to_right_sums():
+    # a compensated sum (Python 3.12's sum()) would give 1.00000000000001 / 1001
+    X = np.vstack([[[1.0]], np.full((1000, 1), 1e-17)])
+    Y = np.array([[0.0]])
+    assert gd(X, Y) == 1.0 / 1001
+    assert gd_igd(X, Y)[0] == 1.0 / 1001
+    assert gd_igd(Y, X)[1] == 1.0 / 1001
 
 
 def test_igd_swaps_roles():
@@ -459,3 +473,95 @@ def test_kernel_every_float32_edge_magnitude_in_one_set():
     assert_kernel_matches_reference(Y, X)
     assert_threaded_kernel_matches_reference(X, Y, block_rows=64)
     assert_threaded_kernel_matches_reference(Y, X, block_rows=64)
+
+
+# -- streamed grids against the materialised ones ------------------------------------
+
+
+@contextmanager
+def grid_chunk_rows(rows):
+    """Make grids in chunks of about `rows` rows (at least one product block)."""
+    import bsf.bezier as bezier
+
+    saved = bezier._GRID_CHUNK_ROWS
+    bezier._GRID_CHUNK_ROWS = rows
+    try:
+        yield
+    finally:
+        bezier._GRID_CHUNK_ROWS = saved
+
+
+def normalized_pair(P, V, normalize):
+    if not normalize:
+        return P, V
+    lo, span = normalizer_from(V)
+    return (P - lo) / span, (V - lo) / span
+
+
+def assert_streamed_score(model, resolution, grid, V, normalize, cpus, chunk_rows):
+    expected = gd_igd(*normalized_pair(grid, V, normalize))
+    with forced_threads(cpus), grid_chunk_rows(chunk_rows):
+        assert score(surface_rows(model, resolution), V, normalize) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(2, 5),
+    degree=st.integers(0, 4),
+    resolution=st.integers(1, 25),
+    graph=st.booleans(),
+    normalize=st.booleans(),
+    cpus=st.sampled_from([1, 2]),
+    chunk_rows=st.sampled_from([1, 4096]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# 5,985 rows in 1,496-row product blocks and a last block of 1 + 8 rows
+@example(m=5, degree=3, resolution=17, graph=False, normalize=True, cpus=2, chunk_rows=4096, seed=0)
+def test_streamed_bezier_score_equals_the_materialised_one(
+    m, degree, resolution, graph, normalize, cpus, chunk_rows, seed
+):
+    rng = np.random.default_rng(seed)
+    ambient = m + 3 if graph else m  # a graph model maps into solutions x objectives
+    model = BezierSimplex(m, degree, rng.normal(size=(len(multi_indices(m, degree)), ambient)))
+    V = rng.normal(size=(60, ambient)) * rng.uniform(0.5, 20.0, size=ambient)
+    grid = model.evaluate_batch(barycentric_grid(m, resolution))
+    assert_streamed_score(model, resolution, grid, V, normalize, cpus, chunk_rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(2, 5),
+    resolution=st.integers(1, 25),
+    normalize=st.booleans(),
+    cpus=st.sampled_from([1, 2]),
+    chunk_rows=st.sampled_from([1, 4096]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# 2,401 rows in 480-row product blocks and a last block of 1 + 8 rows
+@example(m=5, resolution=6, normalize=True, cpus=2, chunk_rows=4096, seed=0)
+def test_streamed_surface_score_equals_the_materialised_one(
+    m, resolution, normalize, cpus, chunk_rows, seed
+):
+    assume((resolution + 1) ** (m - 1) <= 30_000)
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.5, 20.0, size=m)
+    surface = fit_response_surface(SampleSet(rng.uniform(size=(40, m)) * scales))
+    V = rng.uniform(size=(80, m)) * scales
+    axis = np.arange(resolution + 1) / resolution
+    U = np.array(list(product(axis, repeat=m - 1)))
+    grid = surface.lo + surface.span * np.column_stack([U, surface.predict_normalized(U)])
+    assert_streamed_score(surface, resolution, grid, V, normalize, cpus, chunk_rows)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_streamed_graph_fit_score_equals_the_materialised_one(cpus):
+    training, validation = make_training_set(
+        get_problem("med5"), (1, 2, 1), seed=4, validation_size=300, with_solutions=True
+    )
+    vertices = vertex_optima_from(training, validation.m)
+    model, _ = fit_method("inductive", training, vertices, FitConfig(degree=3))
+    V = validation.ambient()
+    assert model.ambient == V.shape[1] > validation.m
+    grid = model.evaluate_batch(barycentric_grid(model.m, 20))
+    for normalize in (True, False):
+        assert_streamed_score(model, 20, grid, V, normalize, cpus, 4096)

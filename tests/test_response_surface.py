@@ -7,8 +7,9 @@ import pytest
 
 from bsf.bezier import _row_blocks
 from bsf.errors import DimensionError
-from bsf.harness import surface_points
+from bsf.harness import score, surface_points, surface_rows
 from bsf.pareto import SampleSet
+from bsf.problems import get_problem, make_training_set
 from bsf.response_surface import (
     ResponseSurface,
     cubic_basis_exponents,
@@ -101,6 +102,23 @@ def test_sample_grid_holds_no_full_grid_intermediate():
     assert grid.shape == (194_481, 5)
     # the result and SampleSet's copy of it, plus a few thousand rows at a time
     assert peak < 3 * grid.nbytes
+
+
+def test_scoring_a_surface_grid_holds_less_than_one_grid(monkeypatch):
+    import bsf.metrics as metrics
+
+    # two kernel threads, each with its own chunk and block buffers
+    monkeypatch.setattr(metrics, "_cpu_count", lambda: 2)
+    training, validation = make_training_set(get_problem("med5"), (1, 2, 1), seed=3)
+    surface = fit_response_surface(SampleSet.concat(training.values()))
+    grid_bytes = 194_481 * 5 * 8
+    tracemalloc.start()
+    try:
+        score(surface_rows(surface, 20), validation.objectives, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid_bytes
 
 
 @pytest.mark.parametrize("m, r", [(5, 20), (3, 250)])
