@@ -22,6 +22,7 @@ from .bezier import BezierSimplex
 from .errors import BsfError, DimensionError, ParseError
 from .fitting import FitConfig, init_parameters, project_parameter, sse
 from .harness import (
+    METHODS,
     ExperimentConfig,
     fit_method,
     read_rows,
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("fit", help="fit a model to generated training data")
-    p.add_argument("--method", required=True, choices=["inductive", "all-at-once", "response-surface"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--data", required=True, help="directory written by `generate`")
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--newton-tol", type=float, default=1e-5)
@@ -330,7 +331,7 @@ def cmd_plot(args) -> int:
         elif kind == "sample":
             series.append((path.stem, load_sample(path).objectives))
         else:
-            metric_rows = read_rows(path)
+            metrics_path, metric_rows = path, read_rows(path)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if metric_rows is not None:
@@ -341,6 +342,8 @@ def cmd_plot(args) -> int:
                 if r.error is None and pick(r) is not None:
                     n3 = r.sizes[2] if len(r.sizes) > 2 else r.sizes[-1]
                     groups.setdefault(n3, []).append(pick(r))
+            if not groups:
+                raise ParseError(f"{metrics_path}: no successful rows to plot")
             panels.append((name, groups))
         out.write_text(plotting.boxplot_svg(panels))
     else:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BsfError
+from .errors import BsfError, DimensionError
 from .fitting import FitConfig, fit_all_at_once, fit_inductive_skeleton, fit_lockstep
 from .mannwhitney import mann_whitney_u
 from .metrics import RowSource, gd_igd, grid_rows
@@ -129,12 +129,17 @@ def surface_points(model, resolution: int) -> np.ndarray:
 def score(sample, validation_points: np.ndarray, normalize: bool):
     """GD/IGD of a sample (points or a RowSource) against a validation set,
     both first min-max normalized by the validation ranges when `normalize`,
-    the sample chunk by chunk; neither input is modified."""
-    if normalize:
-        lo, span = normalizer_from(validation_points)
-        sample = RowSource.of(sample).map(lambda rows: _normalized(rows, lo, span))
-        validation_points = _normalized(validation_points, lo, span)
-    return gd_igd(sample, validation_points)
+    the sample chunk by chunk; neither input is modified. Distances that
+    overflow raise DimensionError."""
+    with np.errstate(over="ignore"):
+        if normalize:
+            lo, span = normalizer_from(validation_points)
+            sample = RowSource.of(sample).map(lambda rows: _normalized(rows, lo, span))
+            validation_points = _normalized(validation_points, lo, span)
+        scores = gd_igd(sample, validation_points)
+    if not all(map(math.isfinite, scores)):
+        raise DimensionError("distances must be finite")
+    return scores
 
 
 def _normalized(points: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:

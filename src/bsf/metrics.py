@@ -16,7 +16,8 @@ candidate's value is an exact pair distance: the minimum is the same number
 the full computation gives. Blocks the bound cannot vouch for (non-finite
 coordinates, or squares past float32's range) or where most pairs tie (so
 that gathering them would cost more than the full block) are computed in
-full with the exact expression.
+full with the exact expression. Every call gives the row and the column
+minima, so GD and IGD (`gd_igd`) come from one pass.
 
 The sample side of a call is a row source (`RowSource`): rows made one chunk
 at a time. A fitted model's grid is such a source (`grid_rows`, and
@@ -167,10 +168,10 @@ def _pair_dists(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((P - Q) ** 2, axis=-1))
 
 
-def _min_dists(X, Y: np.ndarray, want_cols: bool):
-    """Per-row (and, if asked, per-column) minima of `_pair_dists(X[i], Y[j])`;
-    X is an array or a RowSource, and its chunks are taken in blocks of
-    `_BLOCK_ROWS` rows.
+def _min_dists(X, Y: np.ndarray):
+    """Per-row and per-column minima of `_pair_dists(X[i], Y[j])`; X is an
+    array or a RowSource, and its chunks are taken in blocks of `_BLOCK_ROWS`
+    rows.
 
     Pass 1 centres both sets on c, the midpoint of Y's bounding box, and for
     each block of `_BLOCK_ROWS` rows takes one float32 matrix product of
@@ -275,7 +276,7 @@ def _min_dists(X, Y: np.ndarray, want_cols: bool):
 
     def run(chunks):
         """Row minima of the rows of `chunks` into row_mins; their column minima."""
-        col_mins = np.full(n_y, np.inf) if want_cols else None
+        col_mins = np.full(n_y, np.inf)
         col_run = np.full(n_y, np.inf, dtype=np.float32)  # running column minima of D
         x_sq_max = 0.0
         rows_max = min(_BLOCK_ROWS, n_x)
@@ -298,31 +299,26 @@ def _min_dists(X, Y: np.ndarray, want_cols: bool):
                 _blocked_matmul(Xa, W, out=D)
                 row_thr = thresholds(D.min(axis=1).astype(float), x_sq, y_sq_max)
                 flat = np.flatnonzero(np.less_equal(D, row_thr[:, None], out=cand))
-                n_cand = flat.size
-                if want_cols:
-                    np.minimum(col_run, D.min(axis=0), out=col_run)
-                    col_thr = thresholds(col_run.astype(float), y_sq, x_sq_max)
-                    col_flat = np.flatnonzero(np.less_equal(D, col_thr, out=cand))
-                    n_cand += col_flat.size
-                if 4 * n_cand > nb * n_y:
+                np.minimum(col_run, D.min(axis=0), out=col_run)
+                col_thr = thresholds(col_run.astype(float), y_sq, x_sq_max)
+                col_flat = np.flatnonzero(np.less_equal(D, col_thr, out=cand))
+                if 4 * (flat.size + col_flat.size) > nb * n_y:
                     flat = None  # mostly ties: the full block is cheaper
             if flat is None:
                 d = _pair_dists(block[:, None, :], Y[None, :, :])
                 row_mins[rows] = d.min(axis=1)
-                if want_cols:
-                    np.minimum(col_mins, d.min(axis=0), out=col_mins)
+                np.minimum(col_mins, d.min(axis=0), out=col_mins)
                 continue
             ii, jj = np.divmod(flat, n_y)
             d = _pair_dists(block[ii], Y[jj])
             # every row has a candidate (its own minimum), and ii is sorted
             row_mins[rows] = np.minimum.reduceat(d, np.searchsorted(ii, np.arange(nb)))
-            if want_cols:
-                ii, jj = np.divmod(col_flat, n_y)
-                # these distances are finite, but col_mins may hold a full-path
-                # block's NaN, on which np.minimum.at (not np.minimum) flags invalid
-                best = np.full(n_y, np.inf)
-                np.minimum.at(best, jj, _pair_dists(block[ii], Y[jj]))
-                np.minimum(col_mins, best, out=col_mins)
+            ii, jj = np.divmod(col_flat, n_y)
+            # these distances are finite, but col_mins may hold a full-path
+            # block's NaN, on which np.minimum.at (not np.minimum) flags invalid
+            best = np.full(n_y, np.inf)
+            np.minimum.at(best, jj, _pair_dists(block[ii], Y[jj]))
+            np.minimum(col_mins, best, out=col_mins)
         return col_mins
 
     chunks = X.chunks
@@ -339,19 +335,9 @@ def _min_dists(X, Y: np.ndarray, want_cols: bool):
     with ThreadPoolExecutor(workers) as pool:
         parts = list(pool.map(in_thread, [chunks[a:b] for a, b in zip(splits[:-1], splits[1:])]))
     col_mins = parts[0]
-    if want_cols:
-        for part in parts[1:]:
-            np.minimum(col_mins, part, out=col_mins)
+    for part in parts[1:]:
+        np.minimum(col_mins, part, out=col_mins)
     return row_mins, col_mins
-
-
-def _check_pair(X, Y):
-    X, Y = RowSource.of(X), _points(Y)
-    if len(X) == 0 or Y.shape[0] == 0:
-        raise DimensionError("distance between point sets needs both nonempty")
-    if X.width != Y.shape[1]:
-        raise DimensionError(f"point sets disagree in dimension: {X.width} vs {Y.shape[1]}")
-    return X, Y
 
 
 def _mean(dists: np.ndarray) -> float:
@@ -362,19 +348,22 @@ def _mean(dists: np.ndarray) -> float:
 def gd(X, Y) -> float:
     """Mean distance from each point of X to its nearest point of Y; X may be
     a RowSource."""
-    X, Y = _check_pair(X, Y)
-    row_mins, _ = _min_dists(X, Y, want_cols=False)
-    return _mean(row_mins)
+    return gd_igd(X, Y)[0]
 
 
 def igd(X, Y) -> float:
-    """Mean distance from each point of Y to its nearest point of X."""
-    return gd(Y, X)
+    """Mean distance from each point of Y to its nearest point of X; X may be
+    a RowSource."""
+    return gd_igd(X, Y)[1]
 
 
 def gd_igd(X, Y) -> tuple[float, float]:
-    """Both directed means in one pairwise pass; equals (gd(X, Y), igd(X, Y)).
-    X may be a RowSource."""
-    X, Y = _check_pair(X, Y)
-    row_mins, col_mins = _min_dists(X, Y, want_cols=True)
+    """(GD, IGD) of X against Y in one pairwise pass; X may be a RowSource.
+    IGD has the bits of gd(Y, X): (x - y)^2 and (y - x)^2 round alike."""
+    X, Y = RowSource.of(X), _points(Y)
+    if len(X) == 0 or Y.shape[0] == 0:
+        raise DimensionError("distance between point sets needs both nonempty")
+    if X.width != Y.shape[1]:
+        raise DimensionError(f"point sets disagree in dimension: {X.width} vs {Y.shape[1]}")
+    row_mins, col_mins = _min_dists(X, Y)
     return _mean(row_mins), _mean(col_mins)

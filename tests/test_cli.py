@@ -298,6 +298,25 @@ def test_evaluate_overflowing_surface_fails_cleanly(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == "error: objectives must be finite\n"
 
 
+def test_evaluate_overflowing_distances_fail_cleanly(tmp_path, capsys, monkeypatch):
+    # the grid is finite, but its squared distances to the validation set overflow
+    import bsf.metrics as metrics
+
+    monkeypatch.setattr(metrics, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(metrics, "_PAIRS_PER_WORKER", 1)  # the grid's two chunks on two threads
+    data = tmp_path / "data"
+    assert run_cli("generate", "--problem", "med5", "--sizes", "1,2,1", "--seed", "3", "--out", data) == 0
+    path = tmp_path / "surface.json"
+    assert run_cli("fit", "--method", "response-surface", "--data", data, "--out", path) == 0
+    record = json.loads(path.read_text())
+    record["coefficients"] = [1e306] * len(record["coefficients"])
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    args = ("--model", path, "--validation", data / "validation.csv", "--resolution", "8")
+    assert run_cli("evaluate", *args) == 2
+    assert capsys.readouterr() == ("", "error: distances must be finite\n")
+
+
 def _fit_surface_dict(m=3):
     from bsf.response_surface import fit_response_surface
 
@@ -479,6 +498,19 @@ def test_plot_metrics_closes_its_input(tmp_path):
         warnings.simplefilter("always", ResourceWarning)
         assert run_cli("plot", metrics, "--out", tmp_path / "box.svg") == 0
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("failed", [2, 0])
+def test_plot_metrics_without_successful_rows_names_the_file(tmp_path, capsys, failed):
+    # every row failed, or a header only
+    from bsf.harness import TrialRow, write_rows
+
+    metrics = tmp_path / "results.csv"
+    rows = [TrialRow("med3", "inductive", (1, 2, 1), t, None, None, None, "boom") for t in range(failed)]
+    write_rows(rows, metrics)
+    assert run_cli("plot", metrics, "--out", tmp_path / "box.svg") == 2
+    assert capsys.readouterr().err == f"error: {metrics}: no successful rows to plot\n"
+    assert not (tmp_path / "box.svg").exists()
 
 
 def test_plot_byte_stable(tmp_path):

@@ -200,3 +200,23 @@ def test_overflowing_surface_fails_its_row_cleanly(monkeypatch):
     assert inductive.error is None
     assert surface == TrialRow("med5", "response-surface", (1, 2, 1), 0, None, None, None,
                                "objectives must be finite")
+
+
+def test_overflowing_distances_fail_their_row_cleanly(monkeypatch):
+    # a finite grid whose squared distances to the validation set overflow
+    import bsf.metrics as metrics
+
+    monkeypatch.setattr(metrics, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(metrics, "_PAIRS_PER_WORKER", 1)  # the grid's two chunks on two threads
+    real = harness.fit_response_surface
+
+    def huge(S):
+        surface = real(S)
+        return replace(surface, coefficients=np.full(len(surface.exponents), 1e306))
+
+    monkeypatch.setattr(harness, "fit_response_surface", huge)
+    cfg = ExperimentConfig("med5", ("inductive", "response-surface"), trials=1, resolution=8)
+    inductive, surface = run_trial(cfg, 0)
+    assert inductive.error is None
+    assert surface == TrialRow("med5", "response-surface", (1, 2, 1), 0, None, None, None,
+                               "distances must be finite")

@@ -9,7 +9,7 @@ from bsf.bezier import BezierSimplex, barycentric_grid, multi_indices
 from bsf.errors import DimensionError
 from bsf.fitting import FitConfig, initialize_control_net
 from bsf.harness import fit_method, score, surface_rows, vertex_optima_from
-from bsf.metrics import gd, gd_igd, grid_sample, igd
+from bsf.metrics import RowSource, gd, gd_igd, grid_sample, igd
 from bsf.pareto import SampleSet, normalizer_from
 from bsf.problems import get_problem, make_training_set
 from bsf.response_surface import fit_response_surface
@@ -65,6 +65,17 @@ def test_igd_swaps_roles():
     rng = np.random.default_rng(1)
     X, Y = rng.normal(size=(12, 2)), rng.normal(size=(7, 2))
     assert igd(X, Y) == gd(Y, X)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_igd_takes_a_row_source(cpus):
+    # igd's column minima have the bits of the swapped call's row minima
+    rng = np.random.default_rng(36)
+    X, Y = rng.normal(size=(700, 3)), rng.normal(size=(300, 3))
+    with forced_threads(cpus, block_rows=64):
+        got = igd(RowSource.of(X), Y)
+        assert got == gd_igd(X, Y)[1]
+        assert got == gd(Y, X)
 
 
 def test_igd_zero_when_subset():
@@ -171,15 +182,11 @@ def assert_kernel_matches_reference(X, Y):
 
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        for want_cols in (True, False):
-            got = metrics._min_dists(X, Y, want_cols)
-            expected = reference_min_dists(X, Y, want_cols)
-            # bit patterns, so NaN positions and signed zeros count too
-            assert np.array_equal(got[0].view(np.uint64), expected[0].view(np.uint64))
-            if want_cols:
-                assert np.array_equal(got[1].view(np.uint64), expected[1].view(np.uint64))
-            else:
-                assert got[1] is None
+        got = metrics._min_dists(X, Y)
+        expected = reference_min_dists(X, Y, True)
+        # bit patterns, so NaN positions and signed zeros count too
+        assert np.array_equal(got[0].view(np.uint64), expected[0].view(np.uint64))
+        assert np.array_equal(got[1].view(np.uint64), expected[1].view(np.uint64))
 
 
 def near_tie_sets(rng, n, ambient, scale=1.0):
@@ -311,9 +318,9 @@ def test_forced_threads_do_use_threads(monkeypatch):
         assert_kernel_matches_reference(X, Y)
     with forced_threads(4, block_rows=256):  # three blocks: one per worker
         assert_kernel_matches_reference(X, Y)
-    assert used == [3, 3, 3, 3]
+    assert used == [3, 3]
     gd_igd(X[:200], Y)  # one block: no pool
-    assert len(used) == 4
+    assert len(used) == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -374,7 +381,7 @@ def test_threaded_kernel_nan_payloads_merge_in_chunk_order():
     X[500, 2] = np.nan
     assert_threaded_kernel_matches_reference(X, Y, block_rows=64)
     with forced_threads(2, block_rows=64):
-        _, cols = metrics._min_dists(X, Y, True)
+        _, cols = metrics._min_dists(X, Y)
     assert np.all(np.signbit(cols)) and np.all(np.isnan(cols))
 
 
@@ -438,7 +445,7 @@ def test_float32_screen_keeps_an_outlier_row_to_itself(monkeypatch):
         return real(P, Q)
 
     monkeypatch.setattr(metrics, "_pair_dists", spy)
-    got = metrics._min_dists(X, Y, True)
+    got = metrics._min_dists(X, Y)
     assert sum(pairs) <= 0.05 * X.shape[0] * Y.shape[0]
     expected = reference_min_dists(X, Y, True)
     assert np.array_equal(got[0].view(np.uint64), expected[0].view(np.uint64))
