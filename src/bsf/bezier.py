@@ -131,12 +131,26 @@ def _row_blocks(n: int, inner: int, cols: int | None) -> list[int]:
 def _blocked_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A @ B for 2-d A, one `_row_blocks` block at a time: the bits of one
     product (but see `_row_blocks`), without waking OpenBLAS's threads. `out`
-    is as in np.matmul."""
+    is as in np.matmul.
+
+    The leading blocks, which have equal rows, go in one stacked np.matmul
+    of C-contiguous views: numpy runs the same BLAS call on each block, so
+    the bits are those of one call per block, for one call's overhead and
+    one release of the GIL."""
     bounds = _row_blocks(A.shape[0], A.shape[1], B.shape[1] if B.ndim == 2 else None)
     if out is None:
         if len(bounds) == 2:
             return A @ B
         out = np.empty((A.shape[0],) + B.shape[1:], dtype=np.result_type(A, B))
+    step = bounds[1]
+    equal = next((k for k in range(1, len(bounds)) if bounds[k] != k * step), len(bounds)) - 1
+    if equal > 1 and A.flags.c_contiguous and out.flags.c_contiguous:
+        rows = equal * step
+        stacked = out[:rows].reshape((equal, step) + out.shape[1:])
+        np.matmul(A[:rows].reshape(equal, step, A.shape[1]), B, out=stacked)
+        if rows < A.shape[0]:
+            _matmul_on(A[rows:], B, bounds[equal:], out[rows:])
+        return out
     return _matmul_on(A, B, bounds, out)
 
 

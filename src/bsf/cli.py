@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("plot", help="SVG scatter panels or GD/IGD boxplots")
-    p.add_argument("inputs", nargs="+", help="model JSON, sample CSV, or metrics CSV")
+    p.add_argument("inputs", nargs="+", help="model JSONs and sample CSVs, or one metrics CSV")
     p.add_argument("--resolution", type=int, default=20)
     p.add_argument("--out", required=True, help="output SVG path")
 
@@ -318,23 +318,24 @@ def _classify_input(path: Path) -> str:
 
 
 def cmd_plot(args) -> int:
-    series = []
-    metric_rows = None
+    inputs = []
     for raw in args.inputs:
         path = Path(raw)
         if not path.exists():
             raise ParseError(f"{path}: no such file")
-        kind = _classify_input(path)
-        if kind == "model":
-            model = _load_model_file(path)
-            series.append((f"model:{path.stem}", surface_points(model, args.resolution)))
-        elif kind == "sample":
-            series.append((path.stem, load_sample(path).objectives))
-        else:
-            metrics_path, metric_rows = path, read_rows(path)
+        inputs.append((path, _classify_input(path)))
+    metrics_paths = [path for path, kind in inputs if kind == "metrics"]
+    if metrics_paths and len(inputs) > 1:
+        others = ", ".join(str(path) for path, kind in inputs if kind != "metrics")
+        raise ParseError(
+            f"a metrics CSV is plotted on its own: got {', '.join(map(str, metrics_paths))}"
+            + (f" with {others}" if others else "")
+        )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    if metric_rows is not None:
+    if metrics_paths:
+        metrics_path = metrics_paths[0]
+        metric_rows = read_rows(metrics_path)
         panels = []
         for name, pick in (("GD", lambda r: r.gd), ("IGD", lambda r: r.igd)):
             groups: dict[int, list[float]] = {}
@@ -347,6 +348,13 @@ def cmd_plot(args) -> int:
             panels.append((name, groups))
         out.write_text(plotting.boxplot_svg(panels))
     else:
+        series = []
+        for path, kind in inputs:
+            if kind == "model":
+                model = _load_model_file(path)
+                series.append((f"model:{path.stem}", surface_points(model, args.resolution)))
+            else:
+                series.append((path.stem, load_sample(path).objectives))
         if not series:
             raise ParseError("nothing to plot")
         out.write_text(plotting.scatter_svg(series))

@@ -31,7 +31,8 @@ array of the whole grid is built to score it.
 Large calls split the chunks over one thread per usable CPU (`_min_dists`),
 which make their chunks themselves. Pass 1's products run in row blocks that
 OpenBLAS keeps on the calling thread (`bezier._blocked_matmul`), so the cores
-go to those threads and not to BLAS threads that spin between calls.
+go to those threads and not to BLAS threads that spin between calls; a
+block's row blocks go in one stacked call, which releases the GIL once.
 """
 
 from __future__ import annotations
@@ -55,19 +56,24 @@ from .bezier import (
 from .errors import DimensionError
 from .pareto import SampleSet, check_finite
 
-# Rows per block. Each block makes dozens of small numpy calls, which hold
-# the GIL while the kernel's threads run, so fewer, larger blocks run faster
-# on two threads; 448 float32 rows against 1,000 points make a 1.75 MB D,
-# which with the candidate mask stays below the 2.5 MB that 256 float64 rows
-# and two masks took.
+# Rows per block. Besides its four passes over D, each block makes about a
+# hundred small numpy calls (on a row or a column of D, or on the few
+# candidates), which hold the GIL while the kernel's threads run, so fewer,
+# larger blocks run faster on two threads. 448 float32 rows against 1,000
+# points make a 1.75 MB D; with the 0.44 MB candidate mask and a column
+# gather of at most an eighth of D (0.22 MB), that stays below the 2.5 MB
+# that 256 float64 rows and two masks took.
 _BLOCK_ROWS = 448
 # pass 1 runs in float32: its unit roundoff, least subnormal and overflow guard
 _U = 2.0**-24
 _ETA = float(np.finfo(np.float32).smallest_subnormal)
 _SQ_LIMIT = float(np.finfo(np.float32).max) / 16
-# Pairs each worker thread gets at least. On 2 cores, two threads gained
-# nothing up to 2e7 pairs (med5's 10,626 x 1,000 grid score among them) and
-# 1.3-1.5x from 2.5e7 pairs on, so calls of 2^24 pairs and more split.
+# Pairs each worker thread gets at least. On 2 cores, rows of the med5
+# surface grid against 1,000 points, in two series of 10 alternating
+# repeats: two threads took 0.88-1.14x the time of one at 2^22 pairs,
+# 0.82-0.97x at 2^23 (faster in 9 and 6 of 10), 0.76-0.91x at 2^24
+# (10 and 10 of 10) and 0.86-0.90x at 2^25, so calls of 2^24 pairs and more
+# split. med5's Bezier grid score (10,626 x 1,000) stays on one thread.
 _PAIRS_PER_WORKER = 1 << 23
 
 
@@ -168,6 +174,19 @@ def _pair_dists(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((P - Q) ** 2, axis=-1))
 
 
+def _thresholds(least, sq, other_sq_max, ambient: int) -> np.ndarray:
+    """Pass 1's float32 thresholds (see `_min_dists`) for points in R^ambient
+    of squared norms `sq` and least D `least`, the other set's squared norms
+    being at most `other_sq_max`."""
+    near = np.maximum(least, 0.0)
+    norm = np.sqrt(sq)
+    # the other point's norm: b for a row, a for a column
+    other = np.minimum(np.sqrt(other_sq_max), norm + np.sqrt(near))
+    err = 3 * near + ambient * (sq + other**2) + (ambient + 3) * (norm + other) ** 2
+    thr = least + 2 * (2 * _U * err + (3 * ambient + 2) * _ETA)
+    return np.nextafter(thr.astype(np.float32), np.float32(np.inf))  # rounded up
+
+
 def _min_dists(X, Y: np.ndarray):
     """Per-row and per-column minima of `_pair_dists(X[i], Y[j])`; X is an
     array or a RowSource, and its chunks are taken in blocks of `_BLOCK_ROWS`
@@ -220,11 +239,26 @@ def _min_dists(X, Y: np.ndarray):
     A block runs pass 1 only when its largest s_x plus the largest s_y is at
     most float32's max / 16, which keeps every intermediate of D finite. When
     the sum is larger, infinite or NaN (non-finite coordinates, or squares
-    past float32's range), the block is computed in full. Pass 2 gathers the
-    rows' candidate pairs as (k, A) rows and takes the row minima, then does
-    the same with the columns' candidates for the column minima; a pair in
-    both sets is computed twice, to the same bits. When the two sets hold
-    more than a quarter of the block's pairs (mass ties), the full block is
+    past float32's range), the block is computed in full.
+
+    The candidates are found without a full mask of D against either
+    threshold. A row's least D (its argmin) is always within its threshold,
+    which lies above it. Masking that entry and taking the row minimum again
+    gives the second least; only a row whose second least is within its
+    threshold can have another candidate, and only such rows are compared
+    in full. A column can have a candidate only if its least D in the block
+    is within its threshold, so only those columns are compared, or the
+    whole block when more than an eighth of them are: past about a fifth a
+    gather costs more than a full compare, and an eighth bounds its copy. The
+    column thresholds depend only on the running minima and the largest row
+    norm, so they are recomputed only when a column's running minimum fell
+    or the block raised that norm. So each set holds exactly the entries of
+    D within their thresholds, as full masks would give them, and each
+    count is that of the full mask. Pass 2 takes the rows' candidate pairs
+    as (k, A) rows (each row's least, then the other rows' masks) for the
+    row minima, then the columns' for the column minima; a pair in both
+    sets is computed twice, to the same bits. When the two sets hold more
+    than a quarter of the block's pairs (mass ties), the full block is
     computed instead, so memory stays within that of the full block's
     (rows, n_Y, A) tensors.
 
@@ -256,17 +290,6 @@ def _min_dists(X, Y: np.ndarray):
     y_sq = W[ambient].astype(float)
     y_sq_max = y_sq.max()
 
-    def thresholds(least, sq, other_sq_max):
-        """Pass 1's float32 thresholds for points of squared norms `sq` and
-        least D `least`, the other set's squared norms being at most `other_sq_max`."""
-        near = np.maximum(least, 0.0)
-        norm = np.sqrt(sq)
-        # the other point's norm: b for a row, a for a column
-        other = np.minimum(np.sqrt(other_sq_max), norm + np.sqrt(near))
-        err = 3 * near + ambient * (sq + other**2) + (ambient + 3) * (norm + other) ** 2
-        thr = least + 2 * (2 * _U * err + (3 * ambient + 2) * _ETA)
-        return np.nextafter(thr.astype(np.float32), np.float32(np.inf))  # rounded up
-
     def blocks(chunks):
         """(first row, rows) of each `_BLOCK_ROWS` block of the chunks, made in turn."""
         for bounds in chunks:
@@ -278,10 +301,12 @@ def _min_dists(X, Y: np.ndarray):
         """Row minima of the rows of `chunks` into row_mins; their column minima."""
         col_mins = np.full(n_y, np.inf)
         col_run = np.full(n_y, np.inf, dtype=np.float32)  # running column minima of D
+        col_thr = None
         x_sq_max = 0.0
         rows_max = min(_BLOCK_ROWS, n_x)
         D_buf = np.empty((rows_max, n_y), dtype=np.float32)
-        cand_buf = np.empty((rows_max, n_y), dtype=bool)
+        cand_buf = np.empty(rows_max * n_y, dtype=bool)
+        every_row = np.arange(rows_max)
         for start, block in blocks(chunks):
             nb = block.shape[0]
             rows = slice(start, start + nb)
@@ -292,33 +317,58 @@ def _min_dists(X, Y: np.ndarray):
                 Xa[:, ambient + 1] = np.einsum("ij,ij->i", Xa[:, :ambient], Xa[:, :ambient])
             x_sq = Xa[:, ambient + 1].astype(float)
             bound = np.maximum(x_sq_max, x_sq.max())  # NaN propagates
-            flat = None
+            screened = False
             if bound + y_sq_max <= _SQ_LIMIT:
-                x_sq_max = bound
-                D, cand = D_buf[:nb], cand_buf[:nb]
+                raised, x_sq_max = bound > x_sq_max, bound
+                D, every = D_buf[:nb], every_row[:nb]
                 _blocked_matmul(Xa, W, out=D)
-                row_thr = thresholds(D.min(axis=1).astype(float), x_sq, y_sq_max)
-                flat = np.flatnonzero(np.less_equal(D, row_thr[:, None], out=cand))
-                np.minimum(col_run, D.min(axis=0), out=col_run)
-                col_thr = thresholds(col_run.astype(float), y_sq, x_sq_max)
-                col_flat = np.flatnonzero(np.less_equal(D, col_thr, out=cand))
-                if 4 * (flat.size + col_flat.size) > nb * n_y:
-                    flat = None  # mostly ties: the full block is cheaper
-            if flat is None:
+                # rows: the least D, then the second least with the least masked
+                near = D.argmin(axis=1)
+                least = D[every, near]
+                D[every, near] = np.inf
+                second = D.min(axis=1)  # inf for a one-column D
+                D[every, near] = least
+                row_thr = _thresholds(least.astype(float), x_sq, y_sq_max, ambient)
+                multi = np.flatnonzero(second <= row_thr)
+                mi = mj = every[:0]
+                if multi.size:
+                    cand = cand_buf[: multi.size * n_y].reshape(multi.size, n_y)
+                    np.less_equal(D[multi], row_thr[multi, None], out=cand)
+                    mi, mj = np.divmod(np.flatnonzero(cand), n_y)
+                # columns: only those whose least D is within their threshold
+                col_least = D.min(axis=0)
+                if raised or np.any(col_least < col_run):
+                    np.minimum(col_run, col_least, out=col_run)
+                    col_thr = _thresholds(col_run.astype(float), y_sq, x_sq_max, ambient)
+                live = np.flatnonzero(col_least <= col_thr)
+                ci = cj = every[:0]
+                if 8 * live.size > n_y:
+                    cand = cand_buf[: nb * n_y].reshape(nb, n_y)
+                    ci, cj = np.divmod(np.flatnonzero(np.less_equal(D, col_thr, out=cand)), n_y)
+                elif live.size:
+                    cand = cand_buf[: nb * live.size].reshape(nb, live.size)
+                    np.less_equal(D[:, live], col_thr[live], out=cand)
+                    ci, cj = np.divmod(np.flatnonzero(cand), live.size)
+                    cj = live[cj]
+                # the rows' candidates number nb - multi.size + mi.size
+                screened = 4 * (nb - multi.size + mi.size + ci.size) <= nb * n_y  # else mostly ties
+            if not screened:
                 d = _pair_dists(block[:, None, :], Y[None, :, :])
                 row_mins[rows] = d.min(axis=1)
                 np.minimum(col_mins, d.min(axis=0), out=col_mins)
                 continue
-            ii, jj = np.divmod(flat, n_y)
-            d = _pair_dists(block[ii], Y[jj])
-            # every row has a candidate (its own minimum), and ii is sorted
-            row_mins[rows] = np.minimum.reduceat(d, np.searchsorted(ii, np.arange(nb)))
-            ii, jj = np.divmod(col_flat, n_y)
-            # these distances are finite, but col_mins may hold a full-path
-            # block's NaN, on which np.minimum.at (not np.minimum) flags invalid
-            best = np.full(n_y, np.inf)
-            np.minimum.at(best, jj, _pair_dists(block[ii], Y[jj]))
-            np.minimum(col_mins, best, out=col_mins)
+            d = _pair_dists(block, Y[near])
+            if multi.size:
+                # a multi row's candidates include its least D, and mi is sorted
+                starts = np.searchsorted(mi, np.arange(multi.size))
+                d[multi] = np.minimum.reduceat(_pair_dists(block[multi[mi]], Y[mj]), starts)
+            row_mins[rows] = d
+            if ci.size:
+                # these distances are finite, but col_mins may hold a full-path
+                # block's NaN, on which np.minimum.at (not np.minimum) flags invalid
+                best = np.full(n_y, np.inf)
+                np.minimum.at(best, cj, _pair_dists(block[ci], Y[cj]))
+                np.minimum(col_mins, best, out=col_mins)
         return col_mins
 
     chunks = X.chunks

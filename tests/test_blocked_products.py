@@ -21,6 +21,7 @@ from bsf.bezier import (
     _GEMV_LIMIT,
     _ROW_UNIT,
     BezierSimplex,
+    _blocked_matmul,
     _row_blocks,
     as_barycentric_rows,
     barycentric_grid,
@@ -151,6 +152,38 @@ def test_grid_rows_products_run_on_the_blocked_matmul_rows(monkeypatch, m, degre
     monkeypatch.setattr(np, "matmul", spy)
     n = len(grid_rows(model, r).collect())
     assert np.cumsum([0] + rows).tolist() == _row_blocks(n, len(model.indices), ambient)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "n, inner, cols, calls",
+    # the GD/IGD kernel's 448-row block and a chunk's last block, a block
+    # list whose second-last block is shortened, grid-sized products, and a
+    # matrix-vector product (cols None)
+    [
+        (448, 7, 1000, 1), (300, 7, 1000, 2), (65, 7, 1000, 3), (4097, 35, 10, 2),
+        (20_000, 20, 5, 2), (50_000, 21, None, 2),
+    ],
+)
+def test_blocked_matmul_stacks_equal_blocks_with_their_bits(monkeypatch, dtype, n, inner, cols, calls):
+    rng = np.random.default_rng(24)
+    tail = () if cols is None else (cols,)
+    A, B = rng.normal(size=(n, inner)).astype(dtype), rng.normal(size=(inner,) + tail).astype(dtype)
+    bounds = _row_blocks(n, inner, cols)
+    want = np.empty((n,) + tail, dtype=dtype)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.matmul(A[lo:hi], B, out=want[lo:hi])
+    shapes = []
+    real = np.matmul
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    got = _blocked_matmul(A, B)
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    assert len(shapes) == calls and sum(np.prod(shape[:-1]) for shape in shapes) == n
 
 
 def test_predict_normalized_keeps_the_bits_of_one_product(tmp_path):

@@ -513,6 +513,39 @@ def test_plot_metrics_without_successful_rows_names_the_file(tmp_path, capsys, f
     assert not (tmp_path / "box.svg").exists()
 
 
+def test_plot_two_metrics_csvs_is_a_usage_error(tmp_path, capsys):
+    # the second file used to replace the first without a word
+    from bsf.harness import TrialRow, write_rows
+
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for path, gd_val in ((a, 0.1), (b, 0.3)):
+        write_rows([TrialRow("med3", "inductive", (1, 2, 1), 0, gd_val, 0.2, 3)], path)
+    assert run_cli("plot", a, b, "--out", tmp_path / "ab.svg") == 2
+    assert capsys.readouterr().err == f"error: a metrics CSV is plotted on its own: got {a}, {b}\n"
+    assert not (tmp_path / "ab.svg").exists()
+
+
+@pytest.mark.parametrize("other", ["sample", "model"])
+def test_plot_metrics_with_points_is_a_usage_error(tmp_path, capsys, other):
+    # model and sample inputs used to be dropped once a metrics CSV was given
+    from bsf.harness import TrialRow, write_rows
+
+    metrics = tmp_path / "results.csv"
+    write_rows([TrialRow("med3", "inductive", (1, 2, 1), 0, 0.1, 0.2, 3)], metrics)
+    data, true = write_synthetic_training(tmp_path)
+    if other == "model":
+        points = tmp_path / "model.json"
+        true.save(points)
+    else:
+        points = data / "validation.csv"
+    for inputs in ((points, metrics), (metrics, points)):
+        assert run_cli("plot", *inputs, "--out", tmp_path / "mixed.svg") == 2
+        assert capsys.readouterr().err == (
+            f"error: a metrics CSV is plotted on its own: got {metrics} with {points}\n"
+        )
+    assert not (tmp_path / "mixed.svg").exists()
+
+
 def test_plot_byte_stable(tmp_path):
     rng = np.random.default_rng(5)
     sample = tmp_path / "s.csv"

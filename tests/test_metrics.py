@@ -102,11 +102,13 @@ def test_gd_matches_brute_force_exactly():
 
 
 def test_gd_igd_pair_matches_separate_calls():
+    # both halves of one pass against the brute-force oracle each way, over
+    # several 64-row blocks, so that the column minima span blocks (and threads)
     rng = np.random.default_rng(4)
     X, Y = rng.normal(size=(300, 4)), rng.normal(size=(90, 4))
-    g, i = gd_igd(X, Y)
-    assert g == gd(X, Y)
-    assert i == igd(X, Y)
+    for cpus in (1, 2):
+        with forced_threads(cpus, block_rows=64):
+            assert gd_igd(X, Y) == (gd_oracle(X, Y), gd_oracle(Y, X))
 
 
 def test_gd_accepts_sample_sets():
@@ -480,6 +482,190 @@ def test_kernel_every_float32_edge_magnitude_in_one_set():
     assert_kernel_matches_reference(Y, X)
     assert_threaded_kernel_matches_reference(X, Y, block_rows=64)
     assert_threaded_kernel_matches_reference(Y, X, block_rows=64)
+
+
+# -- pass 1's candidates against the two full threshold masks ------------------------
+
+
+def screened_blocks(X, Y, block_rows):
+    """Run `_min_dists(X, Y)` on one thread in blocks of `block_rows` rows and
+    record, for each block, pass 1's (Xa, W, D) and the (row, column) pairs
+    pass 2 computed, or None for a block computed in full. The rows of each
+    block, and those of Y, must be distinct."""
+    import bsf.metrics as metrics
+
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    blocks = []
+    real_matmul, real_pair_dists = metrics._blocked_matmul, metrics._pair_dists
+
+    def matmul(A, B, out):
+        real_matmul(A, B, out=out)
+        blocks.append({"Xa": A.copy(), "W": B.copy(), "D": out.copy(), "pairs": set()})
+        return out
+
+    def pair_dists(P, Q):
+        block = blocks[-1]
+        if P.ndim == 3:
+            block["pairs"] = None
+        else:
+            start = sum(b["D"].shape[0] for b in blocks[:-1])
+            rows = {r.tobytes(): i for i, r in enumerate(X[start : start + block["D"].shape[0]])}
+            cols = {c.tobytes(): j for j, c in enumerate(Y)}
+            block["pairs"] |= {(rows[p.tobytes()], cols[q.tobytes()]) for p, q in zip(P, Q)}
+        return real_pair_dists(P, Q)
+
+    metrics._blocked_matmul, metrics._pair_dists = matmul, pair_dists
+    try:
+        with forced_threads(1, block_rows):
+            got = metrics._min_dists(X, Y)
+    finally:
+        metrics._blocked_matmul, metrics._pair_dists = real_matmul, real_pair_dists
+    assert len(blocks) == -(-X.shape[0] // block_rows)  # every block ran pass 1
+    return blocks, got
+
+
+def mask_candidates(blocks, ambient):
+    """Each block's candidates by the kernel's first screen: a full mask of D
+    against the row thresholds, one against the running column thresholds,
+    and the full block when the two masks hold over a quarter of D."""
+    import bsf.metrics as metrics
+
+    x_sq_max, col_run = 0.0, None
+    for block in blocks:
+        D, x_sq, y_sq = block["D"], block["Xa"][:, ambient + 1].astype(float), block["W"][ambient].astype(float)
+        x_sq_max = max(x_sq_max, x_sq.max())
+        row_thr = metrics._thresholds(D.min(axis=1).astype(float), x_sq, y_sq.max(), ambient)
+        rows = np.argwhere(D <= row_thr[:, None])
+        col_run = D.min(axis=0) if col_run is None else np.minimum(col_run, D.min(axis=0))
+        col_thr = metrics._thresholds(col_run.astype(float), y_sq, x_sq_max, ambient)
+        cols = np.argwhere(D <= col_thr)
+        if 4 * (len(rows) + len(cols)) > D.size:
+            yield None
+        else:
+            yield {tuple(map(int, pair)) for pair in np.vstack([rows, cols])}
+
+
+def assert_screen_is_the_two_masks(X, Y, block_rows):
+    """Every block computes exactly the pairs, or the full block, that the
+    two full masks give; and the minima are the one-pass reference's."""
+    blocks, got = screened_blocks(X, Y, block_rows)
+    expected = list(mask_candidates(blocks, np.shape(Y)[1]))
+    assert [block["pairs"] for block in blocks] == expected
+    ref = reference_min_dists(np.asarray(X, float), np.asarray(Y, float), True)
+    assert np.array_equal(got[0].view(np.uint64), ref[0].view(np.uint64))
+    assert np.array_equal(got[1].view(np.uint64), ref[1].view(np.uint64))
+    return blocks, expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 200),
+    st.integers(1, 120),
+    st.sampled_from(["normal", "lattice", "near-ties"]),
+    st.sampled_from([1, 7, 32]),
+)
+def test_screen_matches_the_two_masks(seed, ambient, n_x, n_y, layout, block_rows):
+    rng = np.random.default_rng(seed)
+    X, Y = rng.normal(size=(n_x, ambient)), rng.normal(size=(n_y, ambient))
+    if layout == "lattice":
+        X, Y = np.round(2 * X), np.round(2 * Y)
+    elif layout == "near-ties":
+        X, Y = near_tie_sets(rng, n_x, ambient)
+    X, Y = np.unique(X, axis=0), np.unique(Y, axis=0)
+    assert_screen_is_the_two_masks(rng.permutation(X), Y, block_rows)
+
+
+def test_screen_late_row_norm_widens_the_column_thresholds():
+    # The second block's row raises the largest row norm, from 0 to 2, and
+    # lowers no column's least D; its D to (1, 0) is 48 float32 ulps above
+    # that column's running minimum: past the threshold of the first block's
+    # norms (about 20 ulps), within the one its own norm gives (about 76).
+    # The screen keeps a factor of two over its rounding bound, so no pair
+    # in that gap is ever a true nearest one; the candidate sets show it.
+    u = 2.0**-24
+    far = [[-100, -100], [100, -100], [-100, 100], [-100, 0], [0, -100], [-100, 50], [50, -100]]
+    Y = np.array([[1.0, 0.0], [-1.0, 0.0], [0.495, 0.495]] + far)
+    X = np.array([[0.0, 0.0], [1.0, np.sqrt(1 + 96 * u)]])
+    blocks, expected = assert_screen_is_the_two_masks(X, Y, 1)
+    assert np.all(blocks[1]["D"] >= blocks[0]["D"]) and blocks[1]["Xa"][0, 3] > blocks[0]["Xa"][0, 3]
+    assert expected[1] == {(0, 2), (0, 0)}  # its own least, and (1, 0)'s candidate
+    assert_kernel_matches_reference(X, Y)
+    assert_threaded_kernel_matches_reference(X, Y, block_rows=1)
+
+
+def test_screen_column_least_equal_to_its_threshold():
+    # Integer points whose float32 D is exact: the second block's one row
+    # has D exactly at column 0's threshold (2,990,850), so column 0 is
+    # compared in that block and the pair is a candidate.
+    import bsf.metrics as metrics
+
+    y = np.array([1985, 26, -6])
+    V = np.array([
+        [-104, -202, -268], [-141, -215, 134], [156, 56, -10], [235, 300, 295],
+        [-265, -20, -174], [-249, 16, 264], [278, -128, -301],
+    ])
+    Y = np.vstack([y, -y, V, -V]).astype(float)
+    X = np.vstack([V, -V, [[300, -315, 182]]]).astype(float)
+    blocks, expected = assert_screen_is_the_two_masks(X, Y, 14)
+    first = blocks[0]
+    thr = metrics._thresholds(
+        first["D"].min(axis=0).astype(float), first["W"][3].astype(float),
+        first["Xa"][:, 4].astype(float).max(), 3,
+    )
+    assert blocks[1]["D"][0, 0] == thr[0] == 2_990_850
+    assert (0, 0) in expected[1]
+    assert_kernel_matches_reference(X, Y)
+    assert_threaded_kernel_matches_reference(X, Y, block_rows=14)
+
+
+def test_screen_mass_tie_limit_counts_each_candidate_once():
+    # one lattice block whose two masks hold exactly a quarter of D (24 of
+    # 96 pairs) with one row tied between two columns: it is screened
+    X = np.array([[-3, -3], [-3, 2], [-1, -1], [-1, 2], [0, 3], [1, 3], [3, -2], [3, -1]], dtype=float)
+    Y = np.array([
+        [-3, -1], [-2, 3], [-1, -3], [-1, -1], [0, -2], [1, -3],
+        [1, 1], [2, -3], [2, -1], [2, 0], [3, -3], [3, 1],
+    ], dtype=float)
+    blocks, expected = assert_screen_is_the_two_masks(X, Y, 8)
+    assert expected[0] is not None and blocks[0]["pairs"] is not None
+    assert_kernel_matches_reference(X, Y)
+
+
+@pytest.mark.parametrize("n_y", [1, 2, 12])
+def test_screen_rows_with_and_without_a_second_candidate(n_y):
+    # rows on the bisector of two lattice columns tie exactly between them;
+    # the rest have one nearest column; a one-column D has no second least
+    g = np.arange(n_y, dtype=float)
+    Y = np.stack([4 * g, np.zeros(n_y)], axis=1)
+    tied = np.stack([4 * g[:-1] + 2, 1.0 + g[:-1]], axis=1)
+    alone = np.stack([4 * g + 1, 3.0 + g], axis=1)
+    X = np.vstack([tied, alone, [[1.5, -2.0]], [[2.0, 0.5]]])
+    for block_rows in (1, 3, 64):
+        assert_screen_is_the_two_masks(X, Y, block_rows)
+    assert_kernel_matches_reference(X, Y)
+    assert_threaded_kernel_matches_reference(X, Y, block_rows=3)
+
+
+def test_screen_column_reached_many_blocks_late():
+    # every column but the last is settled in the first blocks; the last
+    # column's nearest rows arrive in block 39 of 40
+    rng = np.random.default_rng(36)
+    Y = np.vstack([rng.normal(size=(30, 3)), [[40.0, 0.0, 0.0]]])
+    X = np.vstack([
+        Y[:30] + rng.normal(scale=1e-3, size=(30, 3)),
+        rng.normal(size=(578, 3)),
+        [[39.0, 0.5, 0.0], [39.5, 0.0, 0.0]],
+        rng.normal(size=(30, 3)),
+    ])
+    blocks, _ = assert_screen_is_the_two_masks(X, Y, 16)
+    assert blocks[38]["D"][:, 30].min() < np.minimum.reduce([b["D"][:, 30].min() for b in blocks[:38]])
+    assert_kernel_matches_reference(X, Y)
+    for cpus in (1, 2):
+        with forced_threads(cpus, block_rows=16):
+            assert_kernel_matches_reference(X, Y)
+            assert gd_igd(X, Y) == (gd_oracle(X, Y), gd_oracle(Y, X))
 
 
 # -- streamed grids against the materialised ones ------------------------------------
