@@ -30,6 +30,7 @@ from .errors import (
     DimensionError,
     FaceError,
     InvalidIndexError,
+    ParseError,
 )
 
 # Exact integer multinomials only up to this degree; far beyond practical use.
@@ -452,15 +453,27 @@ class BezierSimplex:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BezierSimplex":
+        """The simplex of a `to_dict` record; ParseError names the first
+        control point that is not a vector of finite numbers."""
         m, degree, ambient = int(data["M"]), int(data["D"]), int(data["A"])
         entries = {tuple(e["index"]): e["point"] for e in data["control_points"]}
         idx = multi_indices(m, degree)
         if set(entries) != set(idx):
             raise InvalidIndexError("control point index set is incomplete or has extras")
-        pts = np.array([entries[d] for d in idx], dtype=float)
-        if pts.shape[1] != ambient:
-            raise DimensionError(f"points have dimension {pts.shape[1]}, header says {ambient}")
-        return cls(m, degree, pts)
+        rows = []
+        for d in idx:
+            try:
+                row = np.array(entries[d], dtype=float)
+            except (TypeError, ValueError):
+                row = None
+            if row is None or row.ndim != 1:
+                raise ParseError(f"Bezier simplex: control point {list(d)} is not a list of numbers")
+            if row.shape[0] != ambient:
+                raise DimensionError(f"points have dimension {row.shape[0]}, header says {ambient}")
+            if not np.all(np.isfinite(row)):
+                raise ParseError(f"Bezier simplex: control point {list(d)} must be finite")
+            rows.append(row)
+        return cls(m, degree, np.array(rows))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict()) + "\n")

@@ -36,7 +36,7 @@ from .harness import (
     write_summary,
 )
 from .pareto import SampleSet, face_label, load_sample, save_sample
-from .problems import FileProblem, get_problem, make_training_set
+from .problems import FileProblem, check_sizes, get_problem, make_training_set
 from .response_surface import ResponseSurface
 
 log = logging.getLogger("bsf.cli")
@@ -50,8 +50,10 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         sizes = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"sizes must be integers like 1,2,1 (got {text!r})")
-    if not sizes:
-        raise argparse.ArgumentTypeError("sizes must not be empty")
+    try:
+        check_sizes(sizes)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return sizes
 
 
@@ -102,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resolution", type=int, default=20)
     p.add_argument("--validation", type=int, default=1000)
-    p.add_argument("--jobs", type=int, default=1)
+    # accepted for old command lines; trials always run in the calling thread
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.add_argument("--graph", action="store_true")
     p.add_argument("--no-normalize", dest="normalize", action="store_false")
     p.add_argument(
@@ -170,9 +173,6 @@ def load_training_dir(data_dir):
 
 
 def cmd_fit(args) -> int:
-    training, _, manifest = load_training_dir(args.data)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     cfg = FitConfig(
         degree=args.degree,
         max_outer_iters=args.max_iters,
@@ -180,6 +180,9 @@ def cmd_fit(args) -> int:
         newton_tol=args.newton_tol,
         outer_tol=args.outer_tol,
     )
+    training, _, manifest = load_training_dir(args.data)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     vertices = None
     if args.method != "response-surface":
         vertices = vertex_optima_from(training, manifest["M"])
@@ -205,14 +208,18 @@ def cmd_fit(args) -> int:
 
 
 def _load_model_file(path):
-    """The model of a JSON model file; a ParseError names a field it lacks."""
+    """The model of a JSON model file; a ParseError names a field it lacks,
+    or the file and a control point it cannot hold."""
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict):
         try:
             if data.get("type") == "response-surface":
                 return ResponseSurface.from_dict(data)
             if data.keys() & {"M", "D", "A", "control_points"}:
-                return BezierSimplex.from_dict(data)
+                try:
+                    return BezierSimplex.from_dict(data)
+                except ParseError as exc:
+                    raise ParseError(f"{path}: {exc}") from None
         except KeyError as exc:
             raise ParseError(f"{path}: model file has no field {exc.args[0]!r}") from None
     raise ParseError(f"{path}: not a recognized model file")
@@ -246,6 +253,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if args.jobs > 1:
+        log.warning("--jobs %d has no effect: trials run one after another", args.jobs)
     methods = tuple(args.method)
     problem = get_problem(args.problem)  # fail fast on unknown names
     if isinstance(problem, FileProblem):
@@ -261,7 +272,6 @@ def cmd_experiment(args) -> int:
         validation_size=args.validation,
         graph=args.graph,
         normalize=args.normalize,
-        jobs=args.jobs,
     )
     if args.sweep_n3:
         lo, hi = args.sweep_n3

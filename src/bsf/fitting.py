@@ -36,6 +36,7 @@ from itertools import accumulate, groupby
 import numpy as np
 
 from .bezier import (
+    MAX_EXACT_DEGREE,
     BezierSimplex,
     as_barycentric_rows,
     barycentric_grid,
@@ -61,6 +62,8 @@ class FitConfig:
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
+        if self.degree > MAX_EXACT_DEGREE:
+            raise ValueError(f"degree {self.degree} exceeds exact-arithmetic limit {MAX_EXACT_DEGREE}")
         if self.max_outer_iters < 1 or self.max_newton_iters < 1:
             raise ValueError("iteration caps must be at least 1")
         if self.newton_tol <= 0 or self.outer_tol <= 0:

@@ -20,7 +20,6 @@ import csv
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .fitting import FitConfig, fit_all_at_once, fit_inductive_skeleton, fit_loc
 from .mannwhitney import mann_whitney_u
 from .metrics import RowSource, gd_igd, grid_rows
 from .pareto import SampleSet, normalizer_from
-from .problems import get_problem, make_training_set
+from .problems import check_sizes, get_problem, make_training_set
 from .response_surface import ResponseSurface, fit_response_surface
 
 log = logging.getLogger("bsf.harness")
@@ -51,15 +50,12 @@ class ExperimentConfig:
     validation_size: int = 1000
     graph: bool = False
     normalize: bool = True
-    jobs: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        FitConfig(degree=self.degree)  # the fitter's own rule for the degree
+        check_sizes(self.sizes)
         if self.resolution < 1:
             raise ValueError("resolution must be at least 1")
         if self.validation_size < 1:
@@ -67,6 +63,9 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; valid: {', '.join(METHODS)}")
+        repeated = [m for i, m in enumerate(self.methods) if m in self.methods[:i]]
+        if repeated:
+            raise ValueError(f"method {repeated[0]!r} is given more than once")
         if self.graph and "response-surface" in self.methods:
             raise ValueError("the response surface only fits objective space, not graphs")
 
@@ -174,7 +173,7 @@ def run_trial(cfg: ExperimentConfig, trial: int, problem=None) -> list[TrialRow]
     except Exception as exc:
         return _data_failure(cfg, trial, exc)
     data = {"inductive": training, "all-at-once": union}
-    bezier = [method for method in dict.fromkeys(cfg.methods) if method in data]
+    bezier = [method for method in cfg.methods if method in data]
     requests = [(method, data[method], vertices) for method in bezier]
     fitted = dict(zip(bezier, fit_lockstep(requests, FitConfig(degree=cfg.degree))))
     val_points = validation.ambient()
@@ -200,6 +199,7 @@ def run_trial(cfg: ExperimentConfig, trial: int, problem=None) -> list[TrialRow]
 def run_experiment(cfg: ExperimentConfig, problem=None) -> list[TrialRow]:
     """All trials for all methods; rows sorted by (method, trial).
 
+    Trials run one after another, in trial order, in the caller's thread.
     The problem is resolved once (pass it as `problem` if already resolved);
     if that fails, every trial records the failure in its rows.
     """
@@ -209,11 +209,7 @@ def run_experiment(cfg: ExperimentConfig, problem=None) -> list[TrialRow]:
         except Exception as exc:
             failed = [_data_failure(cfg, t, exc) for t in range(cfg.trials)]
             return _sorted_rows(cfg, failed)
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(lambda t: run_trial(cfg, t, problem), range(cfg.trials)))
-    else:
-        chunks = [run_trial(cfg, t, problem) for t in range(cfg.trials)]
+    chunks = [run_trial(cfg, t, problem) for t in range(cfg.trials)]
     return _sorted_rows(cfg, chunks)
 
 

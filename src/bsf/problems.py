@@ -271,7 +271,14 @@ def get_problem(name: str) -> ProblemDef | FileProblem:
     if name in _REGISTRY:
         return _REGISTRY[name]()
     if name.startswith("medM:"):
-        return make_med(int(name.split(":", 1)[1]))
+        try:
+            m = int(name.split(":", 1)[1])
+        except ValueError:
+            raise KeyError(
+                f"problem {name!r}: medM:<M> needs an integer M; "
+                f"valid names: {', '.join(problem_names())}"
+            ) from None
+        return make_med(m)
     if name.startswith("file:"):
         path = name.split(":", 1)[1]
         return FileProblem(Path(path).stem, load_sample(path), path)
@@ -398,6 +405,18 @@ def _single_objective_optimum(problem, j, rng, with_solutions, pool_seed=0):
 # -- training/validation splits -------------------------------------------------
 
 
+def check_sizes(sizes) -> None:
+    """Raise ValueError, naming the entry, unless the subsample sizes
+    (N1, N2, ...) are nonnegative and N1 is at least 1."""
+    if not sizes:
+        raise ValueError("sizes must not be empty")
+    for k, n in enumerate(sizes, 1):
+        if n < 0:
+            raise ValueError(f"sizes must be nonnegative: N{k} is {n}")
+    if sizes[0] < 1:
+        raise ValueError(f"sizes must start with at least one vertex point: N1 is {sizes[0]}")
+
+
 def make_training_set(
     problem: ProblemDef | FileProblem,
     sizes: tuple[int, ...],
@@ -416,10 +435,9 @@ def make_training_set(
     """
     if validation_size < 1:
         raise ValueError("validation size must be at least 1")
+    check_sizes(sizes)
     if isinstance(problem, FileProblem):
         return _training_from_sample(problem, sizes, seed, validation_size, with_solutions)
-    if any(s < 0 for s in sizes) or not sizes or sizes[0] < 1:
-        raise InsufficientFrontError("sizes must start with at least one vertex point")
     m = problem.n_objectives
     rng = np.random.default_rng(seed)
     if problem.pareto_set_sampler is not None:
@@ -507,6 +525,7 @@ def _training_from_sample(problem: FileProblem, sizes, seed, validation_size, wi
 __all__ = [
     "ProblemDef",
     "FileProblem",
+    "check_sizes",
     "evaluate_objectives",
     "feasible_pool",
     "generate_front_sample",

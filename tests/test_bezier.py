@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bsf.errors import (
     DimensionError,
     FaceError,
     InvalidIndexError,
+    ParseError,
 )
 from bsf.response_surface import cubic_basis_exponents
 
@@ -399,6 +401,42 @@ def test_from_dict_rejects_missing_index():
     data = model.to_dict()
     data["control_points"] = data["control_points"][1:]
     with pytest.raises(InvalidIndexError):
+        BezierSimplex.from_dict(data)
+
+
+def _set_point(value, coordinate=None):
+    def apply(entry):
+        if coordinate is None:
+            entry["point"] = value
+        else:
+            entry["point"][coordinate] = value
+    return apply
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_set_point(float("nan"), 1), "must be finite", id="nan"),
+        pytest.param(_set_point(float("-inf"), 0), "must be finite", id="infinite"),
+        pytest.param(_set_point("x", 1), "is not a list of numbers", id="string-coordinate"),
+        pytest.param(_set_point("x"), "is not a list of numbers", id="string-point"),
+        pytest.param(_set_point(None), "is not a list of numbers", id="null-point"),
+        pytest.param(_set_point(2.0), "is not a list of numbers", id="scalar-point"),
+    ],
+)
+def test_from_dict_names_a_bad_control_point(edit, message):
+    data = random_model(15, m=3, degree=2, ambient=3).to_dict()
+    entry = data["control_points"][4]
+    edit(entry)
+    expected = f"Bezier simplex: control point {entry['index']} {message}"
+    with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+        BezierSimplex.from_dict(data)
+
+
+def test_from_dict_rejects_points_of_the_wrong_dimension():
+    data = random_model(16, m=2, degree=2, ambient=2).to_dict()
+    data["control_points"][1]["point"].append(1.0)
+    with pytest.raises(DimensionError, match="points have dimension"):
         BezierSimplex.from_dict(data)
 
 

@@ -392,6 +392,42 @@ def test_evaluate_names_the_file_and_its_missing_field(tmp_path, capsys, kind, f
     assert run_cli("evaluate", "--model", path, "--validation", val) == 2
     assert capsys.readouterr().err == f"error: {path}: model file has no field '{field}'\n"
 
+def _set_point(value, coordinate=None):
+    def apply(data):
+        entry = data["control_points"][1]
+        if coordinate is None:
+            entry["point"] = value
+        else:
+            entry["point"][coordinate] = value
+    return apply
+
+
+@pytest.mark.parametrize("command", ["evaluate", "plot"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_set_point(float("nan"), 2), "must be finite", id="nan"),
+        pytest.param(_set_point("x", 0), "is not a list of numbers", id="string-coordinate"),
+        pytest.param(_set_point("x"), "is not a list of numbers", id="string-point"),
+    ],
+)
+def test_bezier_file_with_bad_point_names_file_and_point(tmp_path, capsys, command, edit, message):
+    data = initialize_control_net(np.eye(3), 2).to_dict()
+    edit(data)
+    index = data["control_points"][1]["index"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    val = tmp_path / "v.csv"
+    save_sample(SampleSet(np.random.default_rng(14).uniform(size=(10, 3))), val)
+    if command == "evaluate":
+        args = ["evaluate", "--model", path, "--validation", val]
+    else:
+        args = ["plot", path, val, "--out", tmp_path / "f.svg"]
+    assert run_cli(*args) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: Bezier simplex: control point {index} {message}\n")
+    assert not (tmp_path / "f.svg").exists()
+
+
 # -- experiment ---------------------------------------------------------------------
 
 
@@ -607,6 +643,77 @@ def test_experiment_rejects_zero_jobs(tmp_path, capsys):
     )
     assert code == 2
     assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_experiment_jobs_above_one_only_warns(tmp_path, caplog):
+    # the flag still parses for old command lines, but trials always run in
+    # the calling thread: the outputs are those of --jobs 1
+    common = ["experiment", "--problem", "med3", "--method", "inductive", "--method", "all-at-once",
+              "--trials", "3", "--seed", "4", "--validation", "80"]
+    assert run_cli(*common, "--jobs", "1", "--out", tmp_path / "one") == 0
+    assert not [r for r in caplog.records if r.name == "bsf.cli"]
+    caplog.clear()
+    assert run_cli(*common, "--jobs", "2", "--out", tmp_path / "two") == 0
+    assert [(r.levelname, r.getMessage()) for r in caplog.records if r.name == "bsf.cli"] == [
+        ("WARNING", "--jobs 2 has no effect: trials run one after another")
+    ]
+    assert read_all(tmp_path / "two") == read_all(tmp_path / "one")
+    assert set(read_all(tmp_path / "one")) == {"results.csv", "summary.json"}
+
+
+def test_experiment_help_omits_jobs(capsys):
+    assert run_cli("experiment", "--help") == 0
+    assert "--jobs" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ("1,-2,1", "sizes must be nonnegative: N2 is -2"),
+        ("0,2,1", "sizes must start with at least one vertex point: N1 is 0"),
+    ],
+)
+def test_bad_sizes_are_usage_errors(tmp_path, capsys, command, sizes, message):
+    extra = ["--method", "inductive", "--trials", "1"] if command == "experiment" else []
+    code = run_cli(command, "--problem", "med3", "--sizes", sizes, *extra, "--out", tmp_path / "x")
+    assert code == 2
+    assert f"argument --sizes: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_experiment_repeated_method_is_usage_error(tmp_path, capsys):
+    code = run_cli(
+        "experiment", "--problem", "med3", "--method", "inductive", "--method", "all-at-once",
+        "--method", "inductive", "--trials", "1", "--out", tmp_path / "x",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: method 'inductive' is given more than once\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "experiment"])
+def test_degree_above_exact_limit_is_usage_error(tmp_path, capsys, command):
+    if command == "fit":
+        data, _ = write_synthetic_training(tmp_path)
+        args = ["fit", "--method", "inductive", "--data", data]
+    else:
+        args = ["experiment", "--problem", "med3", "--method", "inductive", "--trials", "1"]
+    out = tmp_path / "out" / "x"
+    assert run_cli(*args, "--degree", "21", "--out", out) == 2
+    assert capsys.readouterr().err == "error: degree 21 exceeds exact-arithmetic limit 20\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+def test_medm_without_integer_m_is_usage_error(tmp_path, capsys, command):
+    extra = ["--method", "inductive", "--trials", "1"] if command == "experiment" else []
+    code = run_cli(command, "--problem", "medM:x", "--sizes", "1,2", *extra, "--out", tmp_path / "x")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem 'medM:x': medM:<M> needs an integer M; valid names: ")
+    assert "med5" in err and "file:<path>" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_experiment_rejects_negative_degree(tmp_path, capsys):

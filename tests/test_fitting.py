@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bsf.bezier import BezierSimplex, embed_on_face, face_indices, multi_indices, multinomial
+from bsf.bezier import MAX_EXACT_DEGREE, BezierSimplex, embed_on_face, face_indices, multi_indices, multinomial
 from bsf.errors import DimensionError, InsufficientDataError
 from bsf.fitting import (
     FitConfig,
@@ -34,6 +34,12 @@ def perturbed_net(m, degree, vertices, scale, seed, pin_corners=True):
 
 
 # -- initialize_control_net ------------------------------------------------------
+
+
+def test_config_rejects_degree_above_exact_limit():
+    assert FitConfig(degree=MAX_EXACT_DEGREE).degree == MAX_EXACT_DEGREE
+    with pytest.raises(ValueError, match=f"^degree 21 exceeds exact-arithmetic limit {MAX_EXACT_DEGREE}$"):
+        FitConfig(degree=MAX_EXACT_DEGREE + 1)
 
 
 def test_init_net_m2_grid_formula():

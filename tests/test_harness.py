@@ -1,6 +1,8 @@
 import json
 import math
-from dataclasses import replace
+import re
+import threading
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -47,11 +49,37 @@ def test_rows_reproducible(med3_rows):
         assert a == b
 
 
-def test_jobs_do_not_change_results(med3_rows):
-    from dataclasses import replace
+def test_trials_run_in_order_in_the_calling_thread(monkeypatch):
+    # through the module global, once per trial: a benchmark times trials
+    # by rebinding harness.run_trial
+    calls = []
+    real = harness.run_trial
 
-    parallel = run_experiment(replace(CFG, jobs=3))
-    assert parallel == med3_rows
+    def spy(cfg, trial, problem=None):
+        calls.append((trial, threading.get_ident()))
+        return real(cfg, trial, problem)
+
+    monkeypatch.setattr(harness, "run_trial", spy)
+    rows = run_experiment(replace(CFG, trials=3))
+    assert calls == [(t, threading.get_ident()) for t in range(3)]
+    assert [r.trial for r in rows] == [0, 1, 2] * 2
+    assert "jobs" not in {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"sizes": (1, -2, 1)}, "sizes must be nonnegative: N2 is -2"),
+        ({"sizes": (0, 2, 1)}, "sizes must start with at least one vertex point: N1 is 0"),
+        ({"sizes": ()}, "sizes must not be empty"),
+        ({"methods": ("inductive", "all-at-once", "inductive")}, "method 'inductive' is given more than once"),
+        ({"degree": 21}, "degree 21 exceeds exact-arithmetic limit 20"),
+        ({"degree": -1}, "degree must be nonnegative"),
+    ],
+)
+def test_config_rejects_what_no_trial_could_run(change, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(CFG, **change)
 
 
 def test_trial_seeds_shift_with_base_seed():

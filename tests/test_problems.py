@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from bsf.errors import DomainError, InsufficientFrontError
 from bsf.pareto import SampleSet, nondominated_filter, save_sample
 from bsf.problems import (
     FileProblem,
+    check_sizes,
     evaluate_objectives,
     feasible_pool,
     generate_front_sample,
@@ -77,6 +80,15 @@ def test_unknown_problem_lists_names():
 def test_medm_prefix():
     p = get_problem("medM:4")
     assert p.n_objectives == 4 and p.n_vars == 4
+
+
+@pytest.mark.parametrize("name", ["medM:x", "medM:", "medM:4.5"])
+def test_medm_without_integer_m_names_the_form(name):
+    with pytest.raises(KeyError) as info:
+        get_problem(name)
+    message = info.value.args[0]
+    assert message.startswith(f"problem {name!r}: medM:<M> needs an integer M; valid names: ")
+    assert "schaffer" in message
 
 
 # -- front generation -----------------------------------------------------------
@@ -173,6 +185,27 @@ def test_training_graph_mode_keeps_solutions():
     assert validation.solutions.shape == (10, 5)
     assert training[(0,)].solutions.shape == (1, 5)
     assert validation.ambient().shape == (10, 10)
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ((), "sizes must not be empty"),
+        ((1, -2, 1), "sizes must be nonnegative: N2 is -2"),
+        ((1, 2, 1, -1), "sizes must be nonnegative: N4 is -1"),
+        ((0, 2, 1), "sizes must start with at least one vertex point: N1 is 0"),
+        ((-1, 2), "sizes must be nonnegative: N1 is -1"),
+    ],
+)
+def test_bad_sizes_are_rejected_by_name(tmp_path, sizes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_sizes(sizes)
+    front = tmp_path / "front.csv"
+    save_sample(SampleSet(np.random.default_rng(9).uniform(size=(20, 2))), front)
+    for problem in (get_problem("med3"), get_problem(f"file:{front}")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_training_set(problem, sizes, seed=0, validation_size=5)
+    check_sizes((1, 0, 3))
 
 
 def test_training_rejects_multiple_vertex_points_on_analytic():
