@@ -208,13 +208,17 @@ def cmd_fit(args) -> int:
 
 
 def _load_model_file(path):
-    """The model of a JSON model file; a ParseError names a field it lacks,
-    or the file and a control point it cannot hold."""
+    """The model of a JSON model file; a ParseError names the file, and a
+    field it lacks or a field or control point it cannot hold."""
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict):
         try:
             if data.get("type") == "response-surface":
-                return ResponseSurface.from_dict(data)
+                try:
+                    return ResponseSurface.from_dict(data)
+                except ParseError as exc:
+                    # the path goes last: these messages lead with "response surface: <field>"
+                    raise ParseError(f"{exc} (in {path})") from None
             if data.keys() & {"M", "D", "A", "control_points"}:
                 try:
                     return BezierSimplex.from_dict(data)

@@ -201,7 +201,8 @@ def run_experiment(cfg: ExperimentConfig, problem=None) -> list[TrialRow]:
 
     Trials run one after another, in trial order, in the caller's thread.
     The problem is resolved once (pass it as `problem` if already resolved);
-    if that fails, every trial records the failure in its rows.
+    if that fails, every trial records the failure in its rows. More sizes
+    than the problem has objectives raise ValueError before any trial runs.
     """
     if problem is None:
         try:
@@ -209,6 +210,7 @@ def run_experiment(cfg: ExperimentConfig, problem=None) -> list[TrialRow]:
         except Exception as exc:
             failed = [_data_failure(cfg, t, exc) for t in range(cfg.trials)]
             return _sorted_rows(cfg, failed)
+    check_sizes(cfg.sizes, problem)
     chunks = [run_trial(cfg, t, problem) for t in range(cfg.trials)]
     return _sorted_rows(cfg, chunks)
 

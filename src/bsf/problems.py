@@ -288,30 +288,62 @@ def get_problem(name: str) -> ProblemDef | FileProblem:
 # -- feasible pools for brute-force fronts ------------------------------------
 
 
-def _lhs_batch(bounds: np.ndarray, size: int, rng) -> np.ndarray:
+def _lhs_batch(bounds: np.ndarray, rng, out: np.ndarray, ranks: np.ndarray,
+               jitter: np.ndarray) -> np.ndarray:
+    """Latin hypercube sample in the box `bounds`, written into `out`, an
+    (n_vars, size) float64 buffer; returns its (size, n_vars) transpose, so
+    each variable's column is contiguous. `ranks` holds 0.0, 1.0, ...,
+    size - 1 and is kept; `jitter` is a work buffer of length size.
+
+    Column j is lo + (perm + u) / size * (hi - lo), where perm is
+    `rng.permutation(size)` and then u is `rng.random(size)`. That permutation
+    is a shuffle of arange(size), and a shuffle's swaps do not depend on the
+    dtype, so shuffling the float ranks in place draws the same numbers and
+    gives perm exactly; `random(out=...)` fills the same doubles. Each
+    in-place step is one of the expression's IEEE operations, in its order
+    (addition commutes exactly), so every bit is the expression's, and no
+    array is allocated per column.
+    """
     lo, hi = bounds[:, 0], bounds[:, 1]
-    cols = []
-    for j in range(bounds.shape[0]):
-        strata = (rng.permutation(size) + rng.random(size)) / size
-        cols.append(lo[j] + strata * (hi[j] - lo[j]))
-    return np.column_stack(cols)
+    size = out.shape[1]
+    for j, col in enumerate(out):
+        col[...] = ranks
+        rng.shuffle(col)
+        col += rng.random(out=jitter)
+        col /= size
+        col *= hi[j] - lo[j]
+        col += lo[j]
+    return out.T
 
 
 def feasible_pool(problem: ProblemDef, size: int = POOL_SIZE, seed: int = 0):
-    """Quasi-random feasible decision/objective pool, cached per (name, size, seed)."""
+    """Quasi-random feasible decision/objective pool, cached per (name, size, seed).
+
+    Latin hypercube batches of max(size, 2**16) points are drawn from one
+    seeded generator until `size` feasible rows are found; the pool is those
+    rows, in draw order, and their objectives. The batches reuse one set of
+    buffers, and only the rows the pool still needs are copied and
+    evaluated. The objectives are row-wise, so evaluating fewer rows of a
+    batch changes no bit: the pool is the one that stacking whole batches
+    and truncating gives.
+    """
+    if size < 1:
+        raise ValueError("pool size must be at least 1")
     key = (problem.name, size, seed)
     if key not in _POOL_CACHE:
         rng = np.random.default_rng(seed)
-        xs, fs = [], []
+        n = max(size, 1 << 16)
+        batch, ranks, jitter = np.empty((problem.n_vars, n)), np.arange(n, dtype=float), np.empty(n)
+        X = np.empty((size, problem.n_vars))
+        F = np.empty((size, problem.n_objectives))
         have = 0
         while have < size:
-            X = _lhs_batch(problem.bounds, max(size, 1 << 16), rng)
-            X = X[_feasible(problem, X)]
-            xs.append(X)
-            fs.append(problem.objectives(X))
-            have += X.shape[0]
-        X = np.vstack(xs)[:size]
-        F = np.vstack(fs)[:size]
+            B = _lhs_batch(problem.bounds, rng, batch, ranks, jitter)
+            rows = np.flatnonzero(_feasible(problem, B))[: size - have]
+            kept = X[have : have + rows.size]
+            kept[...] = B[rows]
+            F[have : have + rows.size] = problem.objectives(kept)
+            have += rows.size
         _POOL_CACHE[key] = (X, F)
         log.info("pool for %s: %d feasible points", problem.name, size)
     return _POOL_CACHE[key]
@@ -405,9 +437,10 @@ def _single_objective_optimum(problem, j, rng, with_solutions, pool_seed=0):
 # -- training/validation splits -------------------------------------------------
 
 
-def check_sizes(sizes) -> None:
+def check_sizes(sizes, problem: ProblemDef | FileProblem | None = None) -> None:
     """Raise ValueError, naming the entry, unless the subsample sizes
-    (N1, N2, ...) are nonnegative and N1 is at least 1."""
+    (N1, N2, ...) are nonnegative and N1 is at least 1; given the problem,
+    also unless there are at most as many sizes as it has objectives."""
     if not sizes:
         raise ValueError("sizes must not be empty")
     for k, n in enumerate(sizes, 1):
@@ -415,6 +448,11 @@ def check_sizes(sizes) -> None:
             raise ValueError(f"sizes must be nonnegative: N{k} is {n}")
     if sizes[0] < 1:
         raise ValueError(f"sizes must start with at least one vertex point: N1 is {sizes[0]}")
+    if problem is not None and len(sizes) > problem.n_objectives:
+        raise ValueError(
+            f"sizes has {len(sizes)} entries, but {problem.name} has "
+            f"{problem.n_objectives} objectives"
+        )
 
 
 def make_training_set(
@@ -435,14 +473,14 @@ def make_training_set(
     """
     if validation_size < 1:
         raise ValueError("validation size must be at least 1")
-    check_sizes(sizes)
+    check_sizes(sizes, problem)
     if isinstance(problem, FileProblem):
         return _training_from_sample(problem, sizes, seed, validation_size, with_solutions)
     m = problem.n_objectives
     rng = np.random.default_rng(seed)
     if problem.pareto_set_sampler is not None:
         training = {}
-        for face in enumerate_faces(m, min(len(sizes), m)):
+        for face in enumerate_faces(m, len(sizes)):
             n_face = sizes[len(face) - 1]
             if n_face == 0:
                 continue
@@ -469,7 +507,7 @@ def _skeleton_picks(name, F: np.ndarray, sizes, rng, cache_key=None):
     """
     used = np.zeros(F.shape[0], dtype=bool)
     picks = {}
-    for face in enumerate_faces(F.shape[1], min(len(sizes), F.shape[1])):
+    for face in enumerate_faces(F.shape[1], len(sizes)):
         n_face = sizes[len(face) - 1]
         if n_face == 0:
             continue

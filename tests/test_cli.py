@@ -392,6 +392,24 @@ def test_evaluate_names_the_file_and_its_missing_field(tmp_path, capsys, kind, f
     assert run_cli("evaluate", "--model", path, "--validation", val) == 2
     assert capsys.readouterr().err == f"error: {path}: model file has no field '{field}'\n"
 
+
+@pytest.mark.parametrize("command", ["evaluate", "plot"])
+def test_malformed_response_surface_names_the_file(tmp_path, capsys, command):
+    data = _fit_surface_dict()
+    data["span"] = [0.0, 1.0, 1.0]
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(data))
+    val = tmp_path / "v.csv"
+    save_sample(SampleSet(np.random.default_rng(14).uniform(size=(10, 3))), val)
+    if command == "evaluate":
+        args = ["evaluate", "--model", path, "--validation", val]
+    else:
+        args = ["plot", path, val, "--out", tmp_path / "f.svg"]
+    assert run_cli(*args) == 2
+    assert capsys.readouterr() == ("", f"error: response surface: span must be positive (in {path})\n")
+    assert not (tmp_path / "f.svg").exists()
+
+
 def _set_point(value, coordinate=None):
     def apply(data):
         entry = data["control_points"][1]
@@ -679,6 +697,32 @@ def test_bad_sizes_are_usage_errors(tmp_path, capsys, command, sizes, message):
     code = run_cli(command, "--problem", "med3", "--sizes", sizes, *extra, "--out", tmp_path / "x")
     assert code == 2
     assert f"argument --sizes: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+@pytest.mark.parametrize("problem, sizes", [("med3", "1,2,1,5"), ("osyczka2", "1,3,1"), ("file", "1,3,1")])
+def test_more_sizes_than_objectives_are_usage_errors(tmp_path, capsys, monkeypatch, command, problem, sizes):
+    import bsf.harness as harness
+    import bsf.problems as problems
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a trial or a pool was started")
+
+    monkeypatch.setattr(harness, "run_trial", no_run)
+    monkeypatch.setattr(problems, "feasible_pool", no_run)
+    if problem == "file":
+        front = tmp_path / "front.csv"
+        save_sample(SampleSet(np.random.default_rng(9).uniform(size=(20, 2))), front)
+        problem, name = f"file:{front}", "front"
+    else:
+        name = problem
+    m = 3 if name == "med3" else 2
+    extra = ["--method", "inductive", "--trials", "2"] if command == "experiment" else []
+    code = run_cli(command, "--problem", problem, "--sizes", sizes, *extra, "--out", tmp_path / "x")
+    assert code == 2
+    n = len(sizes.split(","))
+    assert capsys.readouterr() == ("", f"error: sizes has {n} entries, but {name} has {m} objectives\n")
     assert not (tmp_path / "x").exists()
 
 

@@ -136,6 +136,79 @@ def test_pool_is_feasible_and_cached():
     assert X1.shape == (SMALL_POOL, 2) and F1.shape == (SMALL_POOL, 2)
 
 
+def _stacked_pool(problem, size, seed):
+    """The pool as `feasible_pool` first built it: per-column lists stacked
+    into each batch, every feasible row of a batch evaluated, then the
+    batches stacked and cut to `size`. Returns (X, F, batches drawn)."""
+    rng = np.random.default_rng(seed)
+    lo, hi = problem.bounds[:, 0], problem.bounds[:, 1]
+    n = max(size, 1 << 16)
+    xs, fs, have = [], [], 0
+    while have < size:
+        cols = []
+        for j in range(problem.n_vars):
+            strata = (rng.permutation(n) + rng.random(n)) / n
+            cols.append(lo[j] + strata * (hi[j] - lo[j]))
+        X = np.column_stack(cols)
+        feasible = np.ones(n, dtype=bool)
+        for g in problem.constraints:
+            feasible &= g(X) >= 0.0
+        X = X[feasible]
+        xs.append(X)
+        fs.append(problem.objectives(X))
+        have += X.shape[0]
+    return np.vstack(xs)[:size], np.vstack(fs)[:size], len(xs)
+
+
+# pools small enough that the constrained problems take several batches, the
+# last one cut short; the unconstrained ones always take one. Above 2**16
+# rows a batch is the pool size, and dividing by it is no longer exact.
+@pytest.mark.parametrize(
+    "name, size, batches",
+    [("osyczka2", 5000, 3), ("constrex", 70_000, 2), ("schaffer", 70_000, 1), ("viennet2", 70_000, 1)],
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_pool_bytes_pin_the_draw(monkeypatch, name, size, batches, seed):
+    problem = get_problem(name)
+    X_ref, F_ref, drawn = _stacked_pool(problem, size, seed)
+    assert drawn == batches
+    lhs_batch = problems._lhs_batch
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2].shape)
+        return lhs_batch(*args)
+
+    monkeypatch.setattr(problems, "_lhs_batch", counted)
+    monkeypatch.setattr(problems, "_POOL_CACHE", {})
+    X, F = feasible_pool(problem, size=size, seed=seed)
+    assert X.shape == (size, problem.n_vars) and F.shape == (size, problem.n_objectives)
+    assert X.flags.c_contiguous and F.flags.c_contiguous
+    assert X.tobytes() == X_ref.tobytes()
+    assert F.tobytes() == F_ref.tobytes()
+    assert calls == [(problem.n_vars, max(size, 1 << 16))] * drawn
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1 << 16, 100_000])
+def test_shuffled_float_ranks_are_the_permutation(n):
+    # feasible_pool shuffles the float ranks 0.0 .. n-1 instead of calling permutation(n)
+    a, b = np.random.default_rng(n), np.random.default_rng(n)
+    ranks = np.arange(n, dtype=float)
+    b.shuffle(ranks)
+    np.testing.assert_array_equal(ranks, a.permutation(n))
+    assert a.random() == b.random()  # and leaves the stream where it did
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_pool_size_below_one_is_rejected_before_any_draw(monkeypatch, size):
+    def no_draw(*args):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(problems, "_lhs_batch", no_draw)
+    with pytest.raises(ValueError, match="^pool size must be at least 1$"):
+        feasible_pool(get_problem("constrex"), size=size, seed=5)
+
+
 # -- training sets -----------------------------------------------------------------
 
 
@@ -296,3 +369,21 @@ def test_empty_validation_is_rejected_before_any_pool(monkeypatch, size):
     for problem in (get_problem("med3"), get_problem("osyczka2"), FileProblem("f", sample)):
         with pytest.raises(ValueError, match="validation size must be at least 1"):
             make_training_set(problem, (1, 2), seed=0, validation_size=size)
+
+
+def test_more_sizes_than_objectives_are_rejected_before_any_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was drawn")
+
+    monkeypatch.setattr(problems, "feasible_pool", no_pool)
+    front = tmp_path / "front.csv"
+    save_sample(SampleSet(np.random.default_rng(9).uniform(size=(20, 2))), front)
+    cases = [
+        (get_problem("med3"), (1, 2, 1, 5), "sizes has 4 entries, but med3 has 3 objectives"),
+        (get_problem("osyczka2"), (1, 3, 1), "sizes has 3 entries, but osyczka2 has 2 objectives"),
+        (get_problem(f"file:{front}"), (1, 3, 1), "sizes has 3 entries, but front has 2 objectives"),
+    ]
+    for problem, sizes, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_training_set(problem, sizes, seed=0, validation_size=5)
+        check_sizes(sizes[: problem.n_objectives], problem)  # one size per objective is fine
