@@ -293,12 +293,21 @@ def as_barycentric_rows(T, m: int | None = None) -> np.ndarray:
     sums = arr.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > REPAIR_TOLERANCE):
         raise BarycentricError("coordinates do not sum to 1 within repair tolerance")
-    np.maximum(arr, 0.0, out=arr)
-    sums = arr.sum(axis=1)
-    off = sums != 1.0
-    if np.any(off):
-        arr[off] /= sums[off, None]
-    return arr
+    return clamp_renorm(arr)[0]
+
+
+def clamp_renorm(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp rows onto the nonnegative orthant and renormalize them, in place.
+
+    Returns the rows and a mask of those that could be renormalized; rows
+    with no positive entry are left unnormalized and flagged False. A row
+    that already sums to exactly 1.0 keeps its bits.
+    """
+    np.maximum(T, 0.0, out=T)
+    s = T.sum(axis=1)
+    ok = s > 0.0
+    T[ok] /= s[ok, None]
+    return T, ok
 
 
 def embed_on_face(s, face: tuple[int, ...], m: int) -> np.ndarray:

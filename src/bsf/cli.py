@@ -158,15 +158,28 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _read_json(path):
+    """The JSON document in a file; a ParseError names a file that is not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: not a JSON file ({exc})") from None
+
+
+def _no_field(path, name) -> ParseError:
+    return ParseError(f"{path}: manifest has no field {name!r}")
+
+
 def load_training_dir(data_dir):
-    data_dir = Path(data_dir)
-    manifest = json.loads((data_dir / "manifest.json").read_text())
-    training = {}
-    for entry in manifest["faces"]:
-        face = tuple(j - 1 for j in entry["objectives"])
-        training[face] = load_sample(data_dir / entry["file"])
-    validation = load_sample(data_dir / manifest["validation"])
-    return training, validation, manifest
+    path = Path(data_dir) / "manifest.json"
+    manifest = _read_json(path)
+    try:
+        files = [(tuple(j - 1 for j in e["objectives"]), e["file"]) for e in manifest["faces"]]
+        validation_file = manifest["validation"]
+    except KeyError as exc:
+        raise _no_field(path, exc.args[0]) from None
+    training = {face: load_sample(path.parent / name) for face, name in files}
+    return training, load_sample(path.parent / validation_file), manifest
 
 
 # -- fit ------------------------------------------------------------------------
@@ -185,6 +198,8 @@ def cmd_fit(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     vertices = None
     if args.method != "response-surface":
+        if "M" not in manifest:
+            raise _no_field(Path(args.data) / "manifest.json", "M")
         vertices = vertex_optima_from(training, manifest["M"])
     model, result = fit_method(args.method, training, vertices, cfg)
     model.save(out)
@@ -210,7 +225,7 @@ def cmd_fit(args) -> int:
 def _load_model_file(path):
     """The model of a JSON model file; a ParseError names the file, and a
     field it lacks or a field or control point it cannot hold."""
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path)
     if isinstance(data, dict):
         try:
             if data.get("type") == "response-surface":
@@ -318,8 +333,11 @@ def _print_sweep_medians(rows, methods) -> None:
 
 
 def _classify_input(path: Path) -> str:
-    with path.open() as fh:
-        head = fh.read(4096)
+    try:
+        with path.open() as fh:
+            head = fh.read(4096)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not a UTF-8 text file") from None
     if head.lstrip().startswith("{"):
         return "model"
     first = head.splitlines()[0] if head else ""
@@ -404,7 +422,8 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except _USAGE_ERRORS as exc:
-        message = exc.args[0] if exc.args else str(exc)
+        # str() of a KeyError quotes its message; an OSError's first arg is its errno
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
     except BsfError as exc:

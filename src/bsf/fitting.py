@@ -12,25 +12,25 @@ Above it, `fit_lockstep` runs several requests, skeleton or all-at-once,
 stage by stage in ascending m: a stage batches every face of one
 cardinality of each skeleton with each all-at-once fit of that m, so the
 methods of one trial share their projection calls. Each public fitter is a
-`fit_lockstep` batch of one. If a batched projection raises, each fit is
-projected again alone, so an error stays with the fit that raised it. The
-parameter update is a constrained Newton iteration on the squared
-distance, with the last barycentric coordinate eliminated and iterates
-clamped back onto the simplex. One call runs it on the samples of every fit
-still in the batch at once, but its stopping rules and its gradient fallback
-apply to each sample on its own, and each sample meets only its own fit's
-control net. There is one projection path: a lone fit, or a projection of
-one model outside the loop, is a batch of one. The control-point update is
-an exact linear least-squares solve per fit, so the per-iteration loss
-never increases. Each fit stops on its own test and leaves the batch; its
-results are bit-identical to fitting it alone.
+`fit_lockstep` batch of one. The batch loop only computes: if anything in
+it raises, each of its fits runs again alone, so an error stays with the
+fit that raised it. The parameter update is a constrained Newton iteration
+on the squared distance, with the last barycentric coordinate eliminated
+and iterates clamped back onto the simplex. One call runs it on the
+samples of every fit still in the batch at once, but its stopping rules and
+its gradient fallback apply to each sample on its own, and each sample
+meets only its own fit's control net. There is one projection path: a lone
+fit, or a projection of one model outside the loop, is a batch of one. The
+control-point update is an exact linear least-squares solve per fit, so the
+per-iteration loss never increases. Each fit stops on its own test and
+leaves the batch; its results are bit-identical to fitting it alone.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate, groupby
 
 import numpy as np
@@ -40,6 +40,7 @@ from .bezier import (
     BezierSimplex,
     as_barycentric_rows,
     barycentric_grid,
+    clamp_renorm as _clamp_renorm,
     face_indices,
     partial_derivatives,
     weighted_design_matrix,
@@ -101,16 +102,7 @@ class FitResult:
     def sidecar_dict(self) -> dict:
         report = None
         if self.per_face_report is not None:
-            report = {
-                face_label(face): {
-                    "iterations": r.iterations,
-                    "ssr": r.ssr,
-                    "n_points": r.n_points,
-                    "free_points": r.free_points,
-                    "warning": r.warning,
-                }
-                for face, r in self.per_face_report.items()
-            }
+            report = {face_label(face): asdict(r) for face, r in self.per_face_report.items()}
         return {
             "ssr_trace": [float(v) for v in self.ssr_trace],
             "outer_iterations": self.outer_iterations,
@@ -147,19 +139,6 @@ def init_parameters(model: BezierSimplex, X, cfg: FitConfig) -> np.ndarray:
     diffs = X[:, None, :] - values[None, :, :]
     best = np.argmin(np.einsum("ngk,ngk->ng", diffs, diffs), axis=1)
     return grid[best]
-
-
-def _clamp_renorm(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp rows onto the nonnegative orthant and renormalize them.
-
-    Returns the rows and a mask of those that could be renormalized; rows
-    with no positive entry are left unnormalized and flagged False.
-    """
-    T = np.maximum(T, 0.0)
-    s = T.sum(axis=1)
-    ok = s > 0.0
-    T[ok] /= s[ok, None]
-    return T, ok
 
 
 def _solve_rows(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -347,21 +326,6 @@ def sse(model: BezierSimplex, X, T) -> float:
     return float(np.sum(r * r))
 
 
-def _project_each(models, Xs, Ts, cfg: FitConfig) -> list:
-    """project_parameter on a batch, with each model's error kept as its own.
-
-    If the batched call raises, each model is projected again alone, in
-    order: a model whose own call raises gets that exception as its result,
-    the others their solo results, which are the bits of the batched ones.
-    """
-    try:
-        return project_parameter(models, Xs, Ts, cfg)
-    except Exception as exc:
-        if len(models) == 1:
-            return [exc]
-    return [_project_each((mo,), (X,), (T,), cfg)[0] for mo, X, T in zip(models, Xs, Ts)]
-
-
 def _alternate(fits, cfg: FitConfig) -> list:
     """Shared alternating loop over a batch of independent fits that share m,
     degree and ambient dimension, advanced in lockstep.
@@ -372,26 +336,36 @@ def _alternate(fits, cfg: FitConfig) -> list:
     per-point improvement of sqrt(SSR) falls below cfg.outer_tol or at the
     iteration cap, and then leaves the batch; what each fit computes is what
     it would compute alone. Returns, per fit, (model, T, trace, iterations),
-    or the exception that ended it: errors are kept, not raised, and stay
-    with the fit that raised them, so that the caller can raise the first in
-    its own order, as if the fits had run one after another.
+    or the exception that ended it, so that the caller can raise the first
+    in its own order, as if the fits had run one after another.
+
+    The batch stops at the first error anywhere in it. Then each fit runs
+    again alone, in order, and keeps its own result or its own error; a
+    batch of one returns its error. So one failing fit reruns its whole
+    batch one fit at a time, and the larger the batch (every fit of one m
+    and ambient dimension that fit_lockstep was given), the more that costs.
     """
+    try:
+        return _run_batch(fits, cfg)
+    except Exception as exc:
+        if len(fits) == 1:
+            return [exc]
+    return [_alternate([fit], cfg)[0] for fit in fits]
+
+
+def _run_batch(fits, cfg: FitConfig) -> list:
+    """The lockstep loop of _alternate; raises the first error of any fit."""
     models = [model for model, _, _ in fits]
     Xs = [X for _, X, _ in fits]
-    out: list = [None] * len(fits)
-    Ts, traces = [None] * len(fits), [None] * len(fits)
-    running = []
-    for i, (model, X) in enumerate(zip(models, Xs)):
-        try:
-            Ts[i] = init_parameters(model, X, cfg)
-            traces[i] = [sse(model, X, Ts[i])]
-            running.append(i)
-        except Exception as exc:
-            out[i] = exc
+    Ts, traces = [], []
+    for model, X in zip(models, Xs):
+        Ts.append(init_parameters(model, X, cfg))
+        traces.append([sse(model, X, Ts[-1])])
+    running = list(range(len(fits)))
     for _ in range(cfg.max_outer_iters):
         if not running:
             break
-        projected = _project_each(
+        projected = project_parameter(
             tuple(models[i] for i in running),
             tuple(Xs[i] for i in running),
             tuple(Ts[i] for i in running),
@@ -399,26 +373,16 @@ def _alternate(fits, cfg: FitConfig) -> list:
         )
         still = []
         for i, T in zip(running, projected):
-            if isinstance(T, Exception):
-                out[i] = T
-                continue
             X, trace = Xs[i], traces[i]
             Ts[i] = T
-            try:
-                models[i] = solve_control_points(X, T, models[i], fits[i][2])
-                current = sse(models[i], X, T)
-            except Exception as exc:
-                out[i] = exc
-                continue
+            models[i] = solve_control_points(X, T, models[i], fits[i][2])
+            current = sse(models[i], X, T)
             previous = trace[-1]
             trace.append(current)
             if not ((math.sqrt(previous) - math.sqrt(current)) / X.shape[0] <= cfg.outer_tol):
                 still.append(i)
         running = still
-    for i, trace in enumerate(traces):
-        if out[i] is None:
-            out[i] = (models[i], Ts[i], trace, len(trace) - 1)
-    return out
+    return [(model, T, trace, len(trace) - 1) for model, T, trace in zip(models, Ts, traces)]
 
 
 def _all_at_once_stages(S: SampleSet, vertex_optima, cfg: FitConfig):
@@ -450,43 +414,39 @@ def _skeleton_stages(decomposed: dict[tuple[int, ...], SampleSet], vertex_optima
     max_iters = 0
     faces = enumerate_faces(m, min(cfg.degree, m) if cfg.degree >= 1 else 1)
     for _, same_size in groupby(faces, key=len):
-        # per face [face, interior, outcome]: the error the face raises, None
-        # for an empty face, or (model, T, trace, iterations) once the stage
-        # has run; `batched` holds the plan rows of the stage's fits
-        plan, batched, fits = [], [], []
+        # per face (face, interior, early): early is None for a face fitted
+        # in this stage, else the error it raises or the report of an empty face
+        plan, fits = [], []
         for face in same_size:
             _, interior = face_indices(m, cfg.degree, face)
             if not interior:
                 continue
             S_face = decomposed.get(face)
             X = None if S_face is None or S_face.n == 0 else S_face.ambient()
-            outcome = None
-            if X is None:
-                if len(face) == 1:
-                    outcome = InsufficientDataError(
-                        f"no sample for vertex face {face_label(face)}"
-                    )
+            early = None
+            if X is None and len(face) == 1:
+                early = InsufficientDataError(f"no sample for vertex face {face_label(face)}")
+            elif X is None:
+                early = FaceReport(0, float("nan"), 0, len(interior), "empty subsample")
             elif X.shape[1] != model.ambient:
-                outcome = DimensionError(
+                early = DimensionError(
                     f"face sample lives in R^{X.shape[1]}, model in R^{model.ambient}"
                 )
             else:
-                batched.append(len(plan))
                 free = {tuple(d[j] for j in face) for d in interior}
                 fits.append((model.restrict(face), X, free))
-            plan.append([face, interior, outcome])
-        outcomes = (yield fits) if fits else []
-        for k, outcome in zip(batched, outcomes):
-            plan[k][2] = outcome
+            plan.append((face, interior, early))
+        outcomes = iter((yield fits) if fits else ())  # in face order, as `fits`
         pts = model.points.copy()
-        for face, interior, outcome in plan:
+        for face, interior, early in plan:
+            outcome = next(outcomes) if early is None else early
             if isinstance(outcome, Exception):
                 raise outcome
-            if outcome is None:
+            if isinstance(outcome, FaceReport):
                 log.warning(
                     "face %s has no subsample; keeping grid initialization", face_label(face)
                 )
-                report[face] = FaceReport(0, float("nan"), 0, len(interior), "empty subsample")
+                report[face] = outcome
                 continue
             sub, T, trace, iterations = outcome
             for d in interior:

@@ -253,6 +253,13 @@ def save_sample(S: SampleSet, path) -> None:
 
 def load_sample(path) -> SampleSet:
     path = Path(path)
+    try:
+        return _read_sample(path)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not a UTF-8 text file") from None
+
+
+def _read_sample(path: Path) -> SampleSet:
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:

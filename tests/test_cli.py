@@ -635,6 +635,52 @@ def test_fit_missing_data_dir_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_plot_non_utf8_file_names_it(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"f1,f2\n\xff\xfe\n")
+    assert run_cli("plot", bad, "--out", tmp_path / "x.svg") == 2
+    assert capsys.readouterr().err == f"error: {bad}: not a UTF-8 text file\n"
+
+
+def test_evaluate_non_utf8_validation_names_it(tmp_path, capsys):
+    data, _ = write_synthetic_training(tmp_path)
+    model = tmp_path / "m.json"
+    assert run_cli("fit", "--method", "inductive", "--data", data, "--out", model) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"f1,f2,f3\n1,2,3\n1,2,\xff\n")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--model", model, "--validation", bad) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not a UTF-8 text file\n"
+
+
+@pytest.mark.parametrize("field", ["faces", "validation", "M"])
+def test_fit_names_the_manifest_and_its_missing_field(tmp_path, capsys, field):
+    data, _ = write_synthetic_training(tmp_path)
+    manifest = json.loads((data / "manifest.json").read_text())
+    del manifest[field]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    code = run_cli("fit", "--method", "inductive", "--data", data, "--out", tmp_path / "m.json")
+    assert code == 2
+    path = data / "manifest.json"
+    assert capsys.readouterr().err == f"error: {path}: manifest has no field '{field}'\n"
+
+
+def test_evaluate_model_that_is_not_json_names_it(tmp_path, capsys):
+    data, _ = write_synthetic_training(tmp_path)
+    model = tmp_path / "m.json"
+    model.write_text("not json\n")
+    assert run_cli("evaluate", "--model", model, "--validation", data / "validation.csv") == 2
+    assert capsys.readouterr().err.startswith(f"error: {model}: not a JSON file (Expecting value")
+
+
+def test_missing_file_error_names_it(tmp_path, capsys):
+    data, _ = write_synthetic_training(tmp_path)
+    model = tmp_path / "nowhere.json"
+    assert run_cli("evaluate", "--model", model, "--validation", data / "validation.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory") and str(model) in err
+
+
 def test_experiment_graph_with_response_surface_is_usage_error(tmp_path, capsys):
     code = run_cli(
         "experiment", "--problem", "med5", "--method", "response-surface",

@@ -595,3 +595,68 @@ def test_methods_of_a_trial_share_their_projection_calls(monkeypatch):
     at_2 = [c for c in calls if c[0].m == 2]
     assert len(at_2) == max(edge, whole)
     assert [len(c) for c in at_2] == [2] * min(edge, whole) + [1] * abs(edge - whole)
+
+
+def _failing_in(name, n_points, from_call, monkeypatch):
+    """Make fitting.<name> (init_parameters or sse) raise on its from_call-th
+    and every later call on a sample of n_points rows."""
+    original = getattr(fitting, name)
+    calls = []
+
+    def failing(model, X, *rest):
+        if np.shape(X)[0] == n_points:
+            calls.append(None)
+            if len(calls) >= from_call:
+                raise ValueError(f"{name} failed on {n_points} points")
+        return original(model, X, *rest)
+
+    monkeypatch.setattr(fitting, name, failing)
+
+
+# the first sse call of a fit is in its set-up, the third in its second iteration
+SETUP_AND_LOOP_FAILURES = [("init_parameters", 1), ("sse", 1), ("sse", 3)]
+
+
+@pytest.mark.parametrize("name, from_call", SETUP_AND_LOOP_FAILURES)
+def test_setup_or_loop_error_stays_with_its_face(name, from_call, monkeypatch):
+    # med5 (1, 2, 10): the ten triangles run as one batch; one is cut to 9
+    # points and fails, the others must keep the bits of their own loops
+    training, validation = make_training_set(get_problem("med5"), (1, 2, 10), seed=7,
+                                             validation_size=50)
+    V = vertex_optima_from(training, validation.m)
+    short = (0, 2, 4)
+    training[short] = SampleSet(training[short].objectives[:9])
+    cfg = FitConfig(degree=3)
+    stages = fitting._skeleton_stages(training, V, cfg)
+    fits = next(stages)
+    while fits[0][0].m < 3:
+        fits = stages.send(fitting._alternate(fits, cfg))
+    assert sorted(X.shape[0] for _, X, _ in fits) == [9] + [10] * 9
+    _failing_in(name, 9, from_call, monkeypatch)
+    for (model, X, free), outcome in zip(fits, fitting._alternate(fits, cfg)):
+        if X.shape[0] == 9:
+            assert isinstance(outcome, ValueError)
+            assert str(outcome) == f"{name} failed on 9 points"
+            continue
+        ours_model, ours_T, ours_trace, ours_iterations = outcome
+        ref_model, ref_T, ref_trace, ref_iterations = reference_alternate(model, X, cfg, free)
+        assert bits(ours_model.points) == bits(ref_model.points)
+        assert bits(ours_T) == bits(ref_T) and bits(ours_trace) == bits(ref_trace)
+        assert ours_iterations == ref_iterations
+    with pytest.raises(ValueError, match="on 9 points"):
+        fit_inductive_skeleton(training, V, cfg)
+
+
+@pytest.mark.parametrize("name, from_call", SETUP_AND_LOOP_FAILURES)
+def test_setup_or_loop_error_stays_with_its_request(name, from_call, monkeypatch):
+    # osyczka2 (1, 3): the edge (3 points) and all-at-once (5) share each
+    # m = 2 batch; only the all-at-once request may see the error
+    training, union, V = trial_data("osyczka2", (1, 3), seed=4)
+    cfg = FitConfig(degree=3)
+    skeleton = fit_inductive_skeleton(training, V, cfg)
+    assert union.n == 5 and training[(0, 1)].n == 3
+    _failing_in(name, 5, from_call, monkeypatch)
+    outcomes = fit_lockstep([("inductive", training, V), ("all-at-once", union, V)], cfg)
+    assert_same_outcome(outcomes[0], skeleton)
+    assert isinstance(outcomes[1], ValueError)
+    assert str(outcomes[1]) == f"{name} failed on 5 points"
