@@ -31,15 +31,15 @@ from .errors import (
     FaceError,
     InvalidIndexError,
     ParseError,
+    reading,
 )
 
 # Exact integer multinomials only up to this degree; far beyond practical use.
 MAX_EXACT_DEGREE = 20
 
-# |sum(t) - 1| below this is considered exact; up to REPAIR_TOLERANCE the
-# vector is renormalized (file-loaded data carries rounding), beyond that it
-# is rejected.
-SUM_TOLERANCE = 1e-12
+# A barycentric vector with no coordinate below -REPAIR_TOLERANCE and a sum
+# within REPAIR_TOLERANCE of 1 is clamped and renormalized (file-loaded data
+# carries rounding); any other is rejected.
 REPAIR_TOLERANCE = 1e-9
 
 # OpenBLAS 0.3 runs a GEMM of more than 2^18 multiply-adds, or a GEMV over
@@ -489,7 +489,8 @@ class BezierSimplex:
 
     @classmethod
     def load(cls, path) -> "BezierSimplex":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        with reading(path, "model file"):
+            return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def embed_index(d: tuple[int, ...], face: tuple[int, ...], m: int) -> tuple[int, ...]:

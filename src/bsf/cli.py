@@ -19,7 +19,7 @@ import numpy as np
 
 from . import plotting
 from .bezier import BezierSimplex
-from .errors import BsfError, DimensionError, ParseError
+from .errors import BsfError, DimensionError, ParseError, reading
 from .fitting import FitConfig, init_parameters, project_parameter, sse
 from .harness import (
     METHODS,
@@ -158,28 +158,17 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _read_json(path):
-    """The JSON document in a file; a ParseError names a file that is not JSON."""
-    try:
-        return json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: not a JSON file ({exc})") from None
-
-
-def _no_field(path, name) -> ParseError:
-    return ParseError(f"{path}: manifest has no field {name!r}")
-
-
 def load_training_dir(data_dir):
     path = Path(data_dir) / "manifest.json"
-    manifest = _read_json(path)
-    try:
-        files = [(tuple(j - 1 for j in e["objectives"]), e["file"]) for e in manifest["faces"]]
-        validation_file = manifest["validation"]
-    except KeyError as exc:
-        raise _no_field(path, exc.args[0]) from None
-    training = {face: load_sample(path.parent / name) for face, name in files}
-    return training, load_sample(path.parent / validation_file), manifest
+    with reading(path, "manifest"):
+        manifest = json.loads(path.read_text())
+        files = [
+            (tuple(j - 1 for j in e["objectives"]), path.parent / e["file"]) for e in manifest["faces"]
+        ]
+        validation_file = path.parent / manifest["validation"]
+    # outside the manifest's block, so a sample file's error names that file alone
+    training = {face: load_sample(file) for face, file in files}
+    return training, load_sample(validation_file), manifest
 
 
 # -- fit ------------------------------------------------------------------------
@@ -198,9 +187,8 @@ def cmd_fit(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     vertices = None
     if args.method != "response-surface":
-        if "M" not in manifest:
-            raise _no_field(Path(args.data) / "manifest.json", "M")
-        vertices = vertex_optima_from(training, manifest["M"])
+        with reading(Path(args.data) / "manifest.json", "manifest"):
+            vertices = vertex_optima_from(training, manifest["M"])
     model, result = fit_method(args.method, training, vertices, cfg)
     model.save(out)
     if result is None:
@@ -223,25 +211,15 @@ def cmd_fit(args) -> int:
 
 
 def _load_model_file(path):
-    """The model of a JSON model file; a ParseError names the file, and a
-    field it lacks or a field or control point it cannot hold."""
-    data = _read_json(path)
-    if isinstance(data, dict):
-        try:
+    """The model of a JSON model file, Bezier simplex or response surface."""
+    with reading(path, "model file"):
+        data = json.loads(Path(path).read_text())
+        if isinstance(data, dict):
             if data.get("type") == "response-surface":
-                try:
-                    return ResponseSurface.from_dict(data)
-                except ParseError as exc:
-                    # the path goes last: these messages lead with "response surface: <field>"
-                    raise ParseError(f"{exc} (in {path})") from None
+                return ResponseSurface.from_dict(data)
             if data.keys() & {"M", "D", "A", "control_points"}:
-                try:
-                    return BezierSimplex.from_dict(data)
-                except ParseError as exc:
-                    raise ParseError(f"{path}: {exc}") from None
-        except KeyError as exc:
-            raise ParseError(f"{path}: model file has no field {exc.args[0]!r}") from None
-    raise ParseError(f"{path}: not a recognized model file")
+                return BezierSimplex.from_dict(data)
+        raise ParseError("not a recognized model file")
 
 
 def _validation_points(model, validation: SampleSet) -> np.ndarray:
@@ -333,20 +311,17 @@ def _print_sweep_medians(rows, methods) -> None:
 
 
 def _classify_input(path: Path) -> str:
-    try:
-        with path.open() as fh:
-            head = fh.read(4096)
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not a UTF-8 text file") from None
-    if head.lstrip().startswith("{"):
-        return "model"
-    first = head.splitlines()[0] if head else ""
-    fields = [h.strip() for h in first.split(",")]
-    if "gd" in fields and "igd" in fields:
-        return "metrics"
-    if fields and fields[0] == "f1":
-        return "sample"
-    raise ParseError(f"{path}: cannot tell whether this is a model, sample, or metrics file")
+    with reading(path), path.open() as fh:
+        head = fh.read(4096)
+        if head.lstrip().startswith("{"):
+            return "model"
+        first = head.splitlines()[0] if head else ""
+        fields = [h.strip() for h in first.split(",")]
+        if "gd" in fields and "igd" in fields:
+            return "metrics"
+        if fields and fields[0] == "f1":
+            return "sample"
+        raise ParseError("cannot tell whether this is a model, sample, or metrics file")
 
 
 def cmd_plot(args) -> int:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `reading`, the one place
+where a malformed input file becomes a ParseError that names the file."""
+
+import json
+from contextlib import contextmanager
 
 
 class BsfError(Exception):
@@ -26,7 +30,8 @@ class DomainError(BsfError, ValueError):
 
 
 class ParseError(BsfError, ValueError):
-    """A sample file is malformed; the message carries the line number."""
+    """An input file or record is malformed; read through `reading`, the
+    message leads with the file's path."""
 
 
 class InsufficientDataError(BsfError, RuntimeError):
@@ -35,3 +40,22 @@ class InsufficientDataError(BsfError, RuntimeError):
 
 class InsufficientFrontError(BsfError, RuntimeError):
     """A generated front has fewer points than requested."""
+
+
+@contextmanager
+def reading(path, what="file"):
+    """Parse the file at `path` inside this block: an error the parse raises
+    comes out as a ParseError led by `<path>: `. A KeyError is a field that
+    the `what` lacks; any other TypeError or ValueError, the library's own
+    included, keeps its message. An OSError, such as a missing file, passes
+    through unchanged. Do not nest blocks: the inner path would be repeated."""
+    try:
+        yield
+    except UnicodeDecodeError:  # a ValueError, so matched first
+        raise ParseError(f"{path}: not a UTF-8 text file") from None
+    except json.JSONDecodeError as exc:  # a ValueError too
+        raise ParseError(f"{path}: not a JSON file ({exc})") from None
+    except KeyError as exc:
+        raise ParseError(f"{path}: {what} has no field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None

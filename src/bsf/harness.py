@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BsfError, DimensionError
+from .errors import BsfError, DimensionError, reading
 from .fitting import FitConfig, fit_all_at_once, fit_inductive_skeleton, fit_lockstep
 from .mannwhitney import mann_whitney_u
 from .metrics import RowSource, gd_igd, grid_rows
@@ -324,9 +324,9 @@ def write_rows(rows: list[TrialRow], path) -> None:
 
 def read_rows(path) -> list[TrialRow]:
     rows = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
+    with reading(path, "metrics file"), Path(path).open(newline="") as fh:
+        # a short row reads "" in its missing fields, which the int() parses reject
+        for rec in csv.DictReader(fh, restval=""):
             rows.append(
                 TrialRow(
                     rec["problem"],

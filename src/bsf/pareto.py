@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, FaceError, ParseError
+from .errors import DimensionError, FaceError, ParseError, reading
 from .bezier import _check_face
 
 
@@ -253,42 +253,34 @@ def save_sample(S: SampleSet, path) -> None:
 
 def load_sample(path) -> SampleSet:
     path = Path(path)
-    try:
-        return _read_sample(path)
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not a UTF-8 text file") from None
-
-
-def _read_sample(path: Path) -> SampleSet:
-    with path.open(newline="") as fh:
+    with reading(path), path.open(newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file")
         m = 0
         while m < len(header) and header[m] == f"f{m + 1}":
             m += 1
         if m == 0:
-            raise ParseError(f"{path}: line 1: header must start with f1,f2,...")
+            raise ParseError("line 1: header must start with f1,f2,...")
         l = len(header) - m
-        if [h for h in header[m:]] != [f"x{i + 1}" for i in range(l)]:
-            raise ParseError(f"{path}: line 1: trailing columns must be x1,x2,...")
+        if header[m:] != [f"x{i + 1}" for i in range(l)]:
+            raise ParseError("line 1: trailing columns must be x1,x2,...")
         obj_rows, sol_rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise ParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+                raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
             try:
                 values = [float(v) for v in row]
             except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+                raise ParseError(f"line {lineno}: {exc}") from None
             if not all(np.isfinite(values)):
-                raise ParseError(f"{path}: line {lineno}: non-finite value")
+                raise ParseError(f"line {lineno}: non-finite value")
             obj_rows.append(values[:m])
             sol_rows.append(values[m:])
-    if not obj_rows:
-        raise ParseError(f"{path}: no data rows")
+        if not obj_rows:
+            raise ParseError("no data rows")
     solutions = np.array(sol_rows) if l else None
     return SampleSet(np.array(obj_rows), solutions)

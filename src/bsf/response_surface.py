@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bezier import _blocked_matmul, _grid_chunks, monomials
-from .errors import DimensionError, ParseError
+from .errors import DimensionError, ParseError, reading
 from .metrics import RowSource
 from .pareto import SampleSet, check_finite, normalizer_from
 
@@ -142,7 +142,8 @@ class ResponseSurface:
 
     @classmethod
     def load(cls, path) -> "ResponseSurface":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        with reading(path, "model file"):
+            return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def fit_response_surface(S: SampleSet) -> ResponseSurface:

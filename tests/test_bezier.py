@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -438,6 +439,32 @@ def test_from_dict_rejects_points_of_the_wrong_dimension():
     data["control_points"][1]["point"].append(1.0)
     with pytest.raises(DimensionError, match="points have dimension"):
         BezierSimplex.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        pytest.param(None, "not a JSON file (Expecting value: line 1 column 1 (char 0))", id="not-json"),
+        pytest.param(
+            lambda d: d.update(M=[3]),
+            "int() argument must be a string, a bytes-like object or a real number, not 'list'",
+            id="list-M",
+        ),
+        pytest.param(
+            lambda d: d.pop("control_points"), "model file has no field 'control_points'", id="missing-field"
+        ),
+    ],
+)
+def test_load_names_the_file_it_cannot_read(tmp_path, edit, reason):
+    path = tmp_path / "model.json"
+    if edit is None:
+        path.write_text("not json\n")
+    else:
+        data = random_model(17, m=3, degree=2).to_dict()
+        edit(data)
+        path.write_text(json.dumps(data))
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {reason}')}$"):
+        BezierSimplex.load(path)
 
 
 def test_design_matrix_rows_sum_to_one():

@@ -363,12 +363,12 @@ def test_evaluate_rejects_malformed_response_surface(tmp_path, capsys, edit, fie
     path.write_text(json.dumps(data))
     val = tmp_path / "v.csv"
     save_sample(SampleSet(np.random.default_rng(14).uniform(size=(10, 3))), val)
-    with pytest.raises(ParseError, match=f"^response surface: {field} "):
+    with pytest.raises(ParseError, match=f"^response surface: {field} ") as info:
         ResponseSurface.from_dict(json.loads(path.read_text()))
     # ParseError is a ValueError, so the CLI reports it as it reports a
     # malformed sample file or a Bezier file with a bad index set
     assert run_cli("evaluate", "--model", path, "--validation", val) == 2
-    assert f"error: response surface: {field} " in capsys.readouterr().err
+    assert capsys.readouterr() == ("", f"error: {path}: {info.value}\n")
 
 
 @pytest.mark.parametrize(
@@ -406,7 +406,7 @@ def test_malformed_response_surface_names_the_file(tmp_path, capsys, command):
     else:
         args = ["plot", path, val, "--out", tmp_path / "f.svg"]
     assert run_cli(*args) == 2
-    assert capsys.readouterr() == ("", f"error: response surface: span must be positive (in {path})\n")
+    assert capsys.readouterr() == ("", f"error: {path}: response surface: span must be positive\n")
     assert not (tmp_path / "f.svg").exists()
 
 
@@ -679,6 +679,72 @@ def test_missing_file_error_names_it(tmp_path, capsys):
     assert run_cli("evaluate", "--model", model, "--validation", data / "validation.csv") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno 2] No such file or directory") and str(model) in err
+
+
+def _bad_manifest(edit):
+    def make(tmp_path):
+        data, _ = write_synthetic_training(tmp_path)
+        path = data / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        return ["fit", "--method", "inductive", "--data", data, "--out", tmp_path / "m.json"], path
+    return make
+
+
+def _bad_model(kind, **fields):
+    def make(tmp_path):
+        data = initialize_control_net(np.eye(3), 2).to_dict() if kind == "bezier" else _fit_surface_dict()
+        data.update(fields)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        val = tmp_path / "v.csv"
+        save_sample(SampleSet(np.random.default_rng(14).uniform(size=(10, 3))), val)
+        return ["evaluate", "--model", path, "--validation", val], path
+    return make
+
+
+def _evaluate_out_csv(tmp_path):
+    data, _ = write_synthetic_training(tmp_path)
+    model = tmp_path / "model.json"
+    initialize_control_net(np.eye(3), 2).save(model)
+    path = tmp_path / "scores.csv"
+    args = ("--model", model, "--validation", data / "validation.csv", "--resolution", "4", "--out", path)
+    assert run_cli("evaluate", *args) == 0
+    return ["plot", path, "--out", tmp_path / "x.svg"], path
+
+
+def _bad_results_csv(edit):
+    def make(tmp_path):
+        from bsf.harness import TrialRow, write_rows
+
+        path = tmp_path / "results.csv"
+        write_rows([TrialRow("med3", "inductive", (1, 2, 1), 0, 0.1, 0.2, 3)], path)
+        header, row = path.read_text().splitlines()
+        path.write_text(f"{header}\n{edit(row)}\n")
+        return ["plot", path, "--out", tmp_path / "x.svg"], path
+    return make
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(_bad_manifest(lambda m: []), id="manifest-a-list"),
+        pytest.param(_bad_manifest(lambda m: {**m, "faces": [[1]] + m["faces"][1:]}), id="face-entry-a-list"),
+        pytest.param(_bad_manifest(lambda m: {**m, "M": "3"}), id="manifest-string-M"),
+        pytest.param(_bad_model("bezier", M=[3]), id="bezier-list-M"),
+        pytest.param(_bad_model("bezier", control_points=5), id="bezier-int-control-points"),
+        pytest.param(_bad_model("surface", M=None), id="surface-null-M"),
+        pytest.param(_evaluate_out_csv, id="plot-evaluate-out-csv"),
+        pytest.param(_bad_results_csv(lambda row: row.replace("1-2-1", "1-x")), id="results-bad-sizes"),
+        pytest.param(_bad_results_csv(lambda row: "med3,inductive"), id="results-short-row"),
+    ],
+)
+def test_malformed_input_is_one_line_usage_error_naming_the_file(tmp_path, capsys, make):
+    args, path = make(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_experiment_graph_with_response_surface_is_usage_error(tmp_path, capsys):

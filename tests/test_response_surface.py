@@ -1,3 +1,5 @@
+import json
+import re
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from bsf.bezier import _row_blocks
-from bsf.errors import DimensionError
+from bsf.errors import DimensionError, ParseError
 from bsf.harness import score, surface_points, surface_rows
 from bsf.pareto import SampleSet
 from bsf.problems import get_problem, make_training_set
@@ -183,6 +185,30 @@ def test_json_round_trip(tmp_path):
     np.testing.assert_array_equal(back.coefficients, surface.coefficients)
     assert back.exponents == surface.exponents
     np.testing.assert_array_equal(back.lo, surface.lo)
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        pytest.param(None, "not a JSON file (Expecting value: line 1 column 1 (char 0))", id="not-json"),
+        pytest.param(
+            lambda d: d.update(M=[3]),
+            "int() argument must be a string, a bytes-like object or a real number, not 'list'",
+            id="list-M",
+        ),
+        pytest.param(lambda d: d.pop("exponents"), "model file has no field 'exponents'", id="missing-exponents"),
+    ],
+)
+def test_load_names_the_file_it_cannot_read(tmp_path, edit, reason):
+    path = tmp_path / "surface.json"
+    if edit is None:
+        path.write_text("not json\n")
+    else:
+        data = fit_response_surface(SampleSet(np.random.default_rng(7).uniform(size=(20, 3)))).to_dict()
+        edit(data)
+        path.write_text(json.dumps(data))
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {reason}')}$"):
+        ResponseSurface.load(path)
 
 
 def test_degenerate_range_does_not_divide_by_zero():
