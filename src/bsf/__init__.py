@@ -21,7 +21,7 @@ from .pareto import (
     skeleton_decompose,
     subsample,
 )
-from .problems import get_problem, generate_front_sample, make_training_set
+from .problems import get_problem, make_training_set
 from .response_surface import fit_response_surface
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "fit_response_surface",
     "gd",
     "gd_igd",
-    "generate_front_sample",
     "get_problem",
     "grid_sample",
     "igd",

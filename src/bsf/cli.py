@@ -41,8 +41,8 @@ from .response_surface import ResponseSurface
 
 log = logging.getLogger("bsf.cli")
 
-# every validation error in errors.py is also a ValueError
-_USAGE_ERRORS = (ValueError, FileNotFoundError, KeyError)
+# validation errors (errors.py) are ValueErrors; these OSErrors name a path that opens no file
+_USAGE_ERRORS = (ValueError, KeyError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -159,16 +159,24 @@ def cmd_generate(args) -> int:
 
 
 def load_training_dir(data_dir):
+    """The per-face samples of a `generate` directory and its manifest's M,
+    which must be an integer and every sample's objective count."""
     path = Path(data_dir) / "manifest.json"
     with reading(path, "manifest"):
         manifest = json.loads(path.read_text())
         files = [
             (tuple(j - 1 for j in e["objectives"]), path.parent / e["file"]) for e in manifest["faces"]
         ]
-        validation_file = path.parent / manifest["validation"]
+        validation_file, m = path.parent / manifest["validation"], manifest["M"]
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise ValueError(f"M must be an integer, not {m!r}")
     # outside the manifest's block, so a sample file's error names that file alone
     training = {face: load_sample(file) for face, file in files}
-    return training, load_sample(validation_file), manifest
+    counts = sorted({S.m for S in (load_sample(validation_file), *training.values())})
+    with reading(path, "manifest"):
+        if counts != [m]:
+            raise ValueError(f"M is {m}, but the samples have {' or '.join(map(str, counts))} objectives")
+    return training, m
 
 
 # -- fit ------------------------------------------------------------------------
@@ -182,13 +190,10 @@ def cmd_fit(args) -> int:
         newton_tol=args.newton_tol,
         outer_tol=args.outer_tol,
     )
-    training, _, manifest = load_training_dir(args.data)
+    training, m = load_training_dir(args.data)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    vertices = None
-    if args.method != "response-surface":
-        with reading(Path(args.data) / "manifest.json", "manifest"):
-            vertices = vertex_optima_from(training, manifest["M"])
+    vertices = None if args.method == "response-surface" else vertex_optima_from(training, m)
     model, result = fit_method(args.method, training, vertices, cfg)
     model.save(out)
     if result is None:
@@ -325,12 +330,7 @@ def _classify_input(path: Path) -> str:
 
 
 def cmd_plot(args) -> int:
-    inputs = []
-    for raw in args.inputs:
-        path = Path(raw)
-        if not path.exists():
-            raise ParseError(f"{path}: no such file")
-        inputs.append((path, _classify_input(path)))
+    inputs = [(path, _classify_input(path)) for path in map(Path, args.inputs)]
     metrics_paths = [path for path, kind in inputs if kind == "metrics"]
     if metrics_paths and len(inputs) > 1:
         others = ", ".join(str(path) for path, kind in inputs if kind != "metrics")
@@ -362,8 +362,6 @@ def cmd_plot(args) -> int:
                 series.append((f"model:{path.stem}", surface_points(model, args.resolution)))
             else:
                 series.append((path.stem, load_sample(path).objectives))
-        if not series:
-            raise ParseError("nothing to plot")
         out.write_text(plotting.scatter_svg(series))
     print(f"wrote {out}")
     return 0

@@ -169,10 +169,11 @@ def project_parameter(model, x, t0, cfg: FitConfig):
     `model` may also be one model with `x` and `t0` one block; that is the
     batch of one, and its result is returned bare.
 
-    The rows of every model run in one vectorized Newton iteration, but every
-    rule below applies to each row on its own, a row that stops is frozen,
-    and each row meets only its own model's control net, so each model's
-    results are bit-identical to a batch of it alone.
+    The rows of every model, a batch of one included, run in one vectorized
+    Newton iteration over the stack of the models' nets, but every rule below
+    applies to each row on its own, a row that stops is frozen, and each row
+    meets only its own model's control net, so each model's results are
+    bit-identical to a batch of it alone.
 
     Newton steps act on the reduced coordinates (the last one is eliminated
     through the sum constraint); after each step negative entries are clamped
@@ -206,28 +207,24 @@ def project_parameter(model, x, t0, cfg: FitConfig):
     T = as_barycentric_rows(np.concatenate(starts), m)
     counts = [S.shape[0] for S in starts]
     if m > 1:
-        # a lone model keeps its own net and no owners: the same products as
-        # one owner run of a stack, without the owner bookkeeping
-        P, owner = models[0].points, None
-        if len(models) > 1:
-            P = np.stack([mo.points for mo in models])
-            owner = np.repeat(np.arange(len(models)), counts)
+        P = np.stack([mo.points for mo in models])
+        owner = np.repeat(np.arange(len(models)), counts)
         T = _newton_rows(m, degree, P, np.concatenate(Xs), T, cfg, owner)
     ends = accumulate(counts)  # slices: np.split alone takes ~10 us, a share of a small call
     Ts = [T[e - n] if single else T[e - n : e] for n, e, single in zip(counts, ends, singles)]
     return Ts[0] if lone else Ts
 
 
-def _newton_rows(m: int, degree: int, P, X, T, cfg: FitConfig, owner=None) -> np.ndarray:
+def _newton_rows(m: int, degree: int, P, X, T, cfg: FitConfig, owner) -> np.ndarray:
     """The batched Newton iteration of project_parameter.
 
-    `P` is one control net, or a stack of nets with `owner` the sorted net
-    index of each row (see bezier.partial_derivatives). Only the products
-    with a net depend on more than the row itself.
+    `P` is a stack of control nets and `owner` the sorted net index of each
+    row (see bezier.partial_derivatives). Only the products with a net depend
+    on more than the row itself.
     """
 
     def derivatives(Tv, rows, order):
-        return partial_derivatives(m, degree, P, Tv, order, None if owner is None else owner[rows])
+        return partial_derivatives(m, degree, P, Tv, order, owner[rows])
 
     def residuals(Tv, rows):  # b(t) - x
         return derivatives(Tv, rows, 0) - X[rows]

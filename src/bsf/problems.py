@@ -1,4 +1,4 @@
-"""Benchmark problems, front sample generation, and training/validation splits.
+"""Benchmark problems and their training/validation splits.
 
 Problems come in two flavors:
 
@@ -9,8 +9,8 @@ Problems come in two flavors:
   projections (ConstrEx, Osyczka2, Viennet2).
 
 Training sets follow the skeleton scheme: each objective subset J of size k
-receives sizes[k-1] points drawn from the front of the J-subproblem, all
-subsamples pairwise disjoint and disjoint from the validation set.
+gets sizes[k-1] points of the J-subproblem's front, all pairwise disjoint and
+disjoint from the validation set, the one draw from the full front.
 """
 
 from __future__ import annotations
@@ -386,54 +386,6 @@ def _analytic_face_sample(problem, face, n, rng, with_solutions):
     return SampleSet(F[:n], X[:n] if with_solutions else None)
 
 
-def generate_front_sample(
-    problem: ProblemDef,
-    n: int,
-    seed: int = 0,
-    include_endpoints: bool = False,
-    with_solutions: bool = False,
-    pool_seed: int = 0,
-) -> SampleSet:
-    """n mutually non-dominated points from the problem's full Pareto front."""
-    if n < 1:
-        raise InsufficientFrontError("need at least one point")
-    rng = np.random.default_rng(seed)
-    m = problem.n_objectives
-    full = tuple(range(m))
-    parts = []
-    remaining = n
-    if include_endpoints:
-        for j in range(m):
-            parts.append(_single_objective_optimum(problem, j, rng, with_solutions, pool_seed))
-        remaining = n - m
-        if remaining < 0:
-            raise InsufficientFrontError(f"n={n} cannot include all {m} endpoints")
-    if problem.pareto_set_sampler is not None:
-        if remaining > 0:
-            parts.append(_analytic_face_sample(problem, full, remaining, rng, with_solutions))
-    elif remaining > 0:
-        X, F = feasible_pool(problem, seed=pool_seed)
-        front = _face_front(F, full, cache_key=(problem.name, POOL_SIZE, pool_seed))
-        if include_endpoints:
-            endpoints = {int(np.argmin(F[:, j])) for j in range(m)}
-            front = np.array([i for i in front if i not in endpoints], dtype=int)
-        if front.size < remaining:
-            raise InsufficientFrontError(
-                f"pool front of {problem.name} has {front.size} points, need {remaining}"
-            )
-        pick = rng.choice(front, size=remaining, replace=False)
-        parts.append(SampleSet(F[pick], X[pick] if with_solutions else None))
-    return SampleSet.concat(parts) if len(parts) > 1 else parts[0]
-
-
-def _single_objective_optimum(problem, j, rng, with_solutions, pool_seed=0):
-    if problem.pareto_set_sampler is not None:
-        return _analytic_face_sample(problem, (j,), 1, rng, with_solutions)
-    X, F = feasible_pool(problem, seed=pool_seed)
-    best = int(np.argmin(F[:, j]))
-    return SampleSet(F[[best]], X[[best]] if with_solutions else None)
-
-
 # -- training/validation splits -------------------------------------------------
 
 
@@ -566,7 +518,6 @@ __all__ = [
     "check_sizes",
     "evaluate_objectives",
     "feasible_pool",
-    "generate_front_sample",
     "get_problem",
     "make_med",
     "make_training_set",

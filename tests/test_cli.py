@@ -681,6 +681,61 @@ def test_missing_file_error_names_it(tmp_path, capsys):
     assert err.startswith("error: [Errno 2] No such file or directory") and str(model) in err
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (2, "M is 2, but the samples have 3 objectives"),
+        (4, "M is 4, but the samples have 3 objectives"),
+        (True, "M must be an integer, not True"),
+        (3.0, "M must be an integer, not 3.0"),
+    ],
+)
+@pytest.mark.parametrize("method", ["inductive", "response-surface"])
+def test_fit_rejects_a_manifest_m_the_samples_disagree_with(tmp_path, capsys, m, message, method):
+    data, _ = write_synthetic_training(tmp_path)
+    path = data / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "M": m}))
+    out = tmp_path / "m.json"
+    assert run_cli("fit", "--method", method, "--data", data, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
+def _plot_of(path, tmp_path):
+    return ["plot", path, "--out", tmp_path / "x.svg"]
+
+
+def _evaluate_model(path, tmp_path):
+    data, _ = write_synthetic_training(tmp_path)
+    return ["evaluate", "--model", path, "--validation", data / "validation.csv"]
+
+
+def _fit_out(path, tmp_path):
+    data, _ = write_synthetic_training(tmp_path)
+    return ["fit", "--method", "inductive", "--data", data, "--out", path]
+
+
+# a missing model file already read so (test_missing_file_error_names_it);
+# plot now says it the same way
+@pytest.mark.parametrize(
+    "command, kind, reason",
+    [
+        pytest.param(_plot_of, "directory", "[Errno 21] Is a directory", id="plot-directory"),
+        pytest.param(_evaluate_model, "directory", "[Errno 21] Is a directory", id="evaluate-model-directory"),
+        pytest.param(_plot_of, "missing", "[Errno 2] No such file or directory", id="plot-missing"),
+        pytest.param(_fit_out, "directory", "[Errno 21] Is a directory", id="fit-out-directory"),
+    ],
+)
+def test_unopenable_path_is_one_line_usage_error(tmp_path, capsys, command, kind, reason):
+    path = tmp_path / "path"
+    if kind == "directory":
+        path.mkdir()
+    args = command(path, tmp_path)
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err == f"error: {reason}: '{path}'\n"
+
+
 def _bad_manifest(edit):
     def make(tmp_path):
         data, _ = write_synthetic_training(tmp_path)

@@ -11,7 +11,6 @@ from bsf.problems import (
     check_sizes,
     evaluate_objectives,
     feasible_pool,
-    generate_front_sample,
     get_problem,
     make_training_set,
     problem_names,
@@ -91,37 +90,27 @@ def test_medm_without_integer_m_names_the_form(name):
     assert "schaffer" in message
 
 
-# -- front generation -----------------------------------------------------------
+# -- the full-front draw: make_training_set's validation set -----------------
 
 
-def test_schaffer_sample_with_endpoints():
-    S = generate_front_sample(get_problem("schaffer"), 3, seed=1, include_endpoints=True)
-    rows = {tuple(np.round(r, 12)) for r in S.objectives}
-    assert (0.0, 4.0) in rows and (4.0, 0.0) in rows
-    assert S.n == 3
-
-
-def test_schaffer_front_lies_on_curve():
-    S = generate_front_sample(get_problem("schaffer"), 50, seed=2, with_solutions=True)
+def test_schaffer_validation_lies_on_curve():
+    _, S = make_training_set(get_problem("schaffer"), (1, 2), seed=2, validation_size=50,
+                             with_solutions=True)
+    assert S.n == 50
     s = S.solutions[:, 0]
     residual = np.abs(S.objectives - np.column_stack([s**2, (s - 2) ** 2]))
     assert residual.max() <= 1e-12
 
 
-def test_med_sample_is_nondominated_fixpoint():
-    S = generate_front_sample(get_problem("med5"), 40, seed=3)
+def test_med5_validation_is_nondominated_fixpoint():
+    _, S = make_training_set(get_problem("med5"), (1, 2), seed=3, validation_size=40)
+    assert S.n == 40
     assert nondominated_filter(S).n == S.n
 
 
-def test_generated_samples_are_seed_reproducible():
-    a = generate_front_sample(get_problem("med3"), 10, seed=7)
-    b = generate_front_sample(get_problem("med3"), 10, seed=7)
-    np.testing.assert_array_equal(a.objectives, b.objectives)
-
-
-def test_brute_force_front_sample():
-    p = get_problem("constrex")
-    S = generate_front_sample(p, 25, seed=4, pool_seed=11)
+def test_pool_validation_is_nondominated_fixpoint():
+    _, S = make_training_set(get_problem("constrex"), (1, 3), seed=4, validation_size=25,
+                             pool_seed=11)
     assert S.n == 25
     assert nondominated_filter(S).n == S.n
 

@@ -1,8 +1,9 @@
-"""Every top-level import of a library module is used in that module, and
+"""Every top-level import of a library module is used in that module,
 every top-level private name a library module defines is used somewhere in
-the library."""
+the library, and every name an `__all__` lists resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,10 @@ def test_unused_private_name_is_caught(tmp_path):
     )
     b.write_text("from a import _kept\n\nprint(_kept())\n")
     assert _unused_private_names(a, [a, b]) == ["line 2: _left", "line 9: _helper", "line 13: _Old"]
+
+
+@pytest.mark.parametrize("module", ["bsf", "bsf.problems"])
+def test_every_exported_name_resolves(module):
+    namespace = importlib.import_module(module)
+    missing = [name for name in namespace.__all__ if not hasattr(namespace, name)]
+    assert not missing, f"{module}.__all__ names what it does not define: {missing}"
