@@ -132,7 +132,8 @@ def _row_blocks(n: int, inner: int, cols: int | None) -> list[int]:
 def _blocked_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A @ B for 2-d A, one `_row_blocks` block at a time: the bits of one
     product (but see `_row_blocks`), without waking OpenBLAS's threads. `out`
-    is as in np.matmul.
+    is as in np.matmul. A product that fits whole is a plan of one block,
+    and so one np.matmul into `out`: the BLAS call of A @ B.
 
     The leading blocks, which have equal rows, go in one stacked np.matmul
     of C-contiguous views: numpy runs the same BLAS call on each block, so
@@ -140,8 +141,6 @@ def _blocked_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None)
     one release of the GIL."""
     bounds = _row_blocks(A.shape[0], A.shape[1], B.shape[1] if B.ndim == 2 else None)
     if out is None:
-        if len(bounds) == 2:
-            return A @ B
         out = np.empty((A.shape[0],) + B.shape[1:], dtype=np.result_type(A, B))
     step = bounds[1]
     equal = next((k for k in range(1, len(bounds)) if bounds[k] != k * step), len(bounds)) - 1
@@ -220,52 +219,44 @@ def _shift_rows(m: int, degree: int, order: int) -> np.ndarray:
     return table
 
 
-def partial_derivatives(m: int, degree: int, points, T, order: int, owner=None) -> np.ndarray:
+def partial_derivatives(m: int, degree: int, points, T, order: int, bounds=None) -> np.ndarray:
     """Partial derivatives of one order of the model at every row of T.
 
     Returns shape (n, ambient) + (m,) * order; order 0 is the value itself.
     Coordinates are treated as independent variables. Every order is the
-    design matrix one order lower applied to an index-shifted control net:
+    design matrix one order lower applied to an index-shifted control net
+    (for order 0 the shift is the identity):
 
         d^k b / dt_i1 ... dt_ik = D!/(D-k)! * sum_{|e|=D-k} B_e(t) p_{e+e_i1+...+e_ik}
 
     (Farin, Curves and Surfaces for CAGD). Orders above the degree vanish.
     Rows of T are used as given, without barycentric validation.
 
-    `points` is one control net (K, ambient), or a stack of nets
-    (F, K, ambient) together with `owner`, the sorted net index of every row
-    of T. A stack takes one design matrix over all rows and one product per
-    run of equal owners, so each run gets the bits of a one-net call on its
-    rows alone.
+    `points` is a stack of nets (F, K, ambient) with `bounds`, F + 1 sorted
+    row numbers: net f serves rows bounds[f]:bounds[f+1]. One net (K,
+    ambient) without `bounds` is a stack of one over all rows. One design
+    matrix serves every row, and each non-empty run takes one product with
+    its shifted net, so each run gets the bits of a one-net call on its rows
+    alone.
     """
     T = np.asarray(T, dtype=float)
-    # nets stay C-contiguous (take copies so), so that every product,
-    # stacked or not, is the same BLAS call on the same operands
-    points = np.ascontiguousarray(points, dtype=float)
+    points = np.asarray(points, dtype=float)
+    if bounds is None:
+        points, bounds = points[None], [0, T.shape[0]]
     if order > degree:
         return np.zeros((T.shape[0], points.shape[-1]) + (m,) * order)
     basis = weighted_design_matrix(m, degree - order, T)  # (n, K_low)
-    if order == 0:
-        return _per_owner(basis, points, owner)
-    # ([F,] K_low, m, ..., m, ambient)
-    net = points.take(_shift_rows(m, degree, order), axis=-2)
-    lead = points.ndim - 1
-    flat = net.reshape(net.shape[:lead] + (-1,))
-    out = _per_owner(basis, flat, owner).reshape((T.shape[0],) + net.shape[lead:])
-    out *= math.perm(degree, order)
-    return out.transpose((0, order + 1) + tuple(range(1, order + 1)))
-
-
-def _per_owner(basis: np.ndarray, nets: np.ndarray, owner) -> np.ndarray:
-    """basis[i] @ nets[owner[i]] for every row; one product per owner run."""
-    if owner is None:
-        return basis @ nets
-    out = np.empty((basis.shape[0], nets.shape[-1]))
-    bounds = np.searchsorted(owner, np.arange(nets.shape[0] + 1)).tolist()
+    # (F, K_low, m, ..., m, ambient); take copies, so each net is C-contiguous
+    net = points.take(_shift_rows(m, degree, order), axis=1)
+    flat = net.reshape(net.shape[:2] + (-1,))
+    out = np.empty((T.shape[0], flat.shape[-1]))
+    bounds = np.asarray(bounds).tolist()
     for f, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if lo < hi:
-            out[lo:hi] = basis[lo:hi] @ nets[f]
-    return out
+            np.matmul(basis[lo:hi], flat[f], out=out[lo:hi])
+    out = out.reshape((T.shape[0],) + net.shape[2:])
+    out *= math.perm(degree, order)
+    return out.transpose((0, order + 1) + tuple(range(1, order + 1)))
 
 
 def as_barycentric(t, m: int | None = None) -> np.ndarray:
@@ -405,8 +396,7 @@ class BezierSimplex:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, t) -> np.ndarray:
-        t = as_barycentric(t, self.m)
-        return weighted_design_matrix(self.m, self.degree, t[None, :])[0] @ self.points
+        return self.evaluate_batch(np.asarray(t, dtype=float).reshape(1, -1))[0]
 
     def evaluate_batch(self, T) -> np.ndarray:
         T = as_barycentric_rows(T, self.m)

@@ -170,10 +170,11 @@ def project_parameter(model, x, t0, cfg: FitConfig):
     batch of one, and its result is returned bare.
 
     The rows of every model, a batch of one included, run in one vectorized
-    Newton iteration over the stack of the models' nets, but every rule below
+    Newton iteration over the stack of the models' nets; model k's rows are
+    the run bounds[k]:bounds[k+1], counted once per call. Every rule below
     applies to each row on its own, a row that stops is frozen, and each row
-    meets only its own model's control net, so each model's results are
-    bit-identical to a batch of it alone.
+    meets only its own model's net, so each model's results are bit-identical
+    to a batch of it alone.
 
     Newton steps act on the reduced coordinates (the last one is eliminated
     through the sum constraint); after each step negative entries are clamped
@@ -205,26 +206,26 @@ def project_parameter(model, x, t0, cfg: FitConfig):
     if any(S.shape != (X.shape[0], m) for S, X in zip(starts, Xs)):
         raise DimensionError("each point block needs one start of m coordinates per point")
     T = as_barycentric_rows(np.concatenate(starts), m)
-    counts = [S.shape[0] for S in starts]
+    bounds = [0, *accumulate(S.shape[0] for S in starts)]
     if m > 1:
         P = np.stack([mo.points for mo in models])
-        owner = np.repeat(np.arange(len(models)), counts)
-        T = _newton_rows(m, degree, P, np.concatenate(Xs), T, cfg, owner)
-    ends = accumulate(counts)  # slices: np.split alone takes ~10 us, a share of a small call
-    Ts = [T[e - n] if single else T[e - n : e] for n, e, single in zip(counts, ends, singles)]
+        T = _newton_rows(m, degree, P, np.concatenate(Xs), T, cfg, np.array(bounds))
+    # slices: np.split alone takes ~10 us, a share of a small call
+    Ts = [T[lo] if single else T[lo:hi] for lo, hi, single in zip(bounds, bounds[1:], singles)]
     return Ts[0] if lone else Ts
 
 
-def _newton_rows(m: int, degree: int, P, X, T, cfg: FitConfig, owner) -> np.ndarray:
+def _newton_rows(m: int, degree: int, P, X, T, cfg: FitConfig, bounds) -> np.ndarray:
     """The batched Newton iteration of project_parameter.
 
-    `P` is a stack of control nets and `owner` the sorted net index of each
-    row (see bezier.partial_derivatives). Only the products with a net depend
-    on more than the row itself.
+    `P` is a stack of control nets, net f serving rows bounds[f]:bounds[f+1].
+    Every subset of rows worked on stays sorted, so its runs are where the
+    bounds fall in it (see bezier.partial_derivatives). Only the products
+    with a net depend on more than the row itself.
     """
 
     def derivatives(Tv, rows, order):
-        return partial_derivatives(m, degree, P, Tv, order, owner[rows])
+        return partial_derivatives(m, degree, P, Tv, order, np.searchsorted(rows, bounds))
 
     def residuals(Tv, rows):  # b(t) - x
         return derivatives(Tv, rows, 0) - X[rows]

@@ -364,26 +364,24 @@ def _face_front(F: np.ndarray, face, cache_key=None) -> np.ndarray:
 
 
 def _analytic_face_sample(problem, face, n, rng, with_solutions):
-    """n mutually non-dominated points from the closed-form face front."""
+    """n mutually non-dominated points from the closed-form face front; the
+    dominated rows are redrawn and the set checked again, up to 20 times."""
     X = problem.pareto_set_sampler(face, n, rng)
     F = problem.objectives(X)
-    for _ in range(20):
+    for redraws in range(21):
         keep = nondominated_mask(F[:, list(face)])
-        if keep.all() and X.shape[0] >= n:
-            break
-        X = X[keep][:n]
-        F = F[keep][:n]
+        X, F = X[keep][:n], F[keep][:n]
         short = n - X.shape[0]
-        if short <= 0:
+        if short == 0:
+            return SampleSet(F, X if with_solutions else None)
+        if redraws == 20:
             break
         X_extra = problem.pareto_set_sampler(face, short, rng)
         X = np.vstack([X, X_extra])
         F = np.vstack([F, problem.objectives(X_extra)])
-    if X.shape[0] < n:
-        raise InsufficientFrontError(
-            f"could not draw {n} non-dominated points on face of {problem.name}"
-        )
-    return SampleSet(F[:n], X[:n] if with_solutions else None)
+    raise InsufficientFrontError(
+        f"could not draw {n} non-dominated points on face of {problem.name}"
+    )
 
 
 # -- training/validation splits -------------------------------------------------

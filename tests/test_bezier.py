@@ -296,6 +296,35 @@ def test_partial_derivatives_m1():
         np.testing.assert_allclose(out.reshape(2, 2), scale * np.tile(points, (2, 1)))
 
 
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 10_000), st.integers(1, 4), st.integers(0, 5), st.integers(0, 2),
+    st.lists(st.integers(0, 4), min_size=1, max_size=5), st.integers(1, 3),
+)
+def test_stacked_partial_derivatives_keep_each_runs_bits(seed, m, degree, order, counts, ambient):
+    # net f serves rows bounds[f]:bounds[f+1]; a run may be empty
+    rng = np.random.default_rng(seed)
+    P = rng.normal(size=(len(counts), len(multi_indices(m, degree)), ambient))
+    T = rng.dirichlet(np.ones(m), size=sum(counts))
+    bounds = np.cumsum([0] + counts).tolist()
+    got = partial_derivatives(m, degree, P, T, order, bounds=bounds)
+    assert got.shape == (T.shape[0], ambient) + (m,) * order
+    for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        alone = partial_derivatives(m, degree, P[f], T[lo:hi], order)
+        assert got[lo:hi].tobytes() == alone.tobytes()
+        if order == 0:  # the identity shift leaves the product with the net itself
+            assert alone.tobytes() == (weighted_design_matrix(m, degree, T[lo:hi]) @ P[f]).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(0, 6), st.integers(1, 4))
+def test_evaluate_has_the_bits_of_a_batch_row(seed, m, degree, ambient):
+    rng = np.random.default_rng(seed)
+    model = BezierSimplex(m, degree, rng.normal(size=(len(multi_indices(m, degree)), ambient)))
+    t = rng.dirichlet(np.ones(m))
+    assert model.evaluate(t).tobytes() == model.evaluate_batch([t])[0].tobytes()
+
 # -- faces ------------------------------------------------------------------------
 
 

@@ -265,6 +265,23 @@ def test_evaluate_normalized_response_surface_equals_harness_score(tmp_path, cap
 
 
 
+def test_evaluate_graph_model_scores_its_validation_with_solutions(tmp_path, capsys):
+    # a --graph model lives in objective-and-solution space, as do the x columns
+    from bsf.harness import score, surface_points
+
+    data, path = tmp_path / "data", tmp_path / "model.json"
+    assert run_cli("generate", "--problem", "med3", "--sizes", "1,2,1", "--seed", "4",
+                   "--validation", "60", "--graph", "--out", data) == 0
+    assert run_cli("fit", "--method", "inductive", "--data", data, "--out", path) == 0
+    capsys.readouterr()
+    val = data / "validation.csv"
+    assert run_cli("evaluate", "--model", path, "--validation", val, "--resolution", "9") == 0
+    model, validation = BezierSimplex.load(path), load_sample(val)
+    assert (model.ambient, validation.m, validation.l) == (6, 3, 3)
+    expected = score(surface_points(model, 9), validation.ambient(), True)
+    assert parse_scores(capsys.readouterr().out) == expected
+
+
 def test_evaluate_prints_the_pinned_med5_scores(tmp_path, capsys):
     # the scores the whole-grid path printed; streaming the grid keeps every bit
     data = tmp_path / "data"
@@ -493,6 +510,19 @@ def test_experiment_methods_fitted_together_match_each_alone(tmp_path, problem, 
         assert alone == [lines[0]] + [line for line in lines[1:] if line.split(",")[1] == method]
         alone_summary = json.loads((tmp_path / method / "summary.json").read_text())
         assert alone_summary["methods"] == {method: summary["methods"][method]}
+
+
+def test_experiment_where_every_trial_fails_exits_1(tmp_path, capsys):
+    # a response surface needs two objectives; the one-objective front gives it one
+    front = tmp_path / "one.csv"
+    save_sample(SampleSet(np.array([[0.25], [0.5], [0.75]])), front)
+    out = tmp_path / "exp"
+    assert run_cli("experiment", "--problem", f"file:{front}", "--method", "response-surface",
+                   "--sizes", "1", "--trials", "2", "--out", out) == 1
+    assert capsys.readouterr().out == "response-surface: all 2 trials failed\n"
+    rows = list(csv.DictReader((out / "results.csv").read_text().splitlines()))
+    assert [r["error"] for r in rows] == ["response surface needs at least two objectives"] * 2
+    assert json.loads((out / "summary.json").read_text())["methods"]["response-surface"]["failures"] == 2
 
 
 # -- plot --------------------------------------------------------------------------------

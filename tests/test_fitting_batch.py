@@ -8,6 +8,7 @@ iteration that the batch replaced, kept verbatim apart from names.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from bsf.bezier import (
     partial_derivatives,
     weighted_design_matrix,
 )
-from bsf.errors import DimensionError, InsufficientDataError
+from bsf.errors import BsfError, DimensionError, InsufficientDataError
 from bsf.fitting import (
     FitConfig,
+    FitResult,
     _clamp_renorm,
     _solve_rows,
     fit_all_at_once,
@@ -660,3 +662,45 @@ def test_setup_or_loop_error_stays_with_its_request(name, from_call, monkeypatch
     assert_same_outcome(outcomes[0], skeleton)
     assert isinstance(outcomes[1], ValueError)
     assert str(outcomes[1]) == f"{name} failed on 5 points"
+
+
+DEGENERATE = ("repeated", "face-repeated", "corners-identical", "corners-collinear", "face-emptied")
+
+
+def degenerate(training, case):
+    """A copy of per-face training sets with one degenerate edit."""
+    out = dict(training)
+    m = sum(len(face) == 1 for face in out)
+    edge = (0, 1)
+    if case == "repeated":  # every sample twice
+        return {face: SampleSet(np.vstack([S.objectives] * 2)) for face, S in out.items()}
+    if case == "face-repeated":  # one point n times on an edge
+        S = out[edge]
+        out[edge] = SampleSet(np.repeat(S.objectives[:1], S.n, axis=0))
+    elif case == "corners-identical":
+        out.update({(j,): out[(0,)] for j in range(m)})
+    elif case == "corners-collinear":  # the last corner midway between the first two
+        out[(m - 1,)] = SampleSet((out[(0,)].objectives + out[(1,)].objectives) / 2)
+    else:  # an edge with no sample
+        out[edge] = SampleSet(np.empty((0, m)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("med3", (1, 2, 1)), ("schaffer", (1, 3)), ("viennet2", (1, 2, 1))]),
+       st.sampled_from(DEGENERATE), st.integers(0, 3), st.integers(0, 2**16))
+def test_degenerate_training_sets_fit_or_name_their_error(case, edit, degree, seed):
+    problem, sizes = case
+    training, _, _ = trial_data(problem, sizes, seed)
+    training = degenerate(training, edit)
+    V = vertex_optima_from(training, get_problem(problem).n_objectives)
+    union = SampleSet.concat(training.values())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        outcomes = fit_lockstep([("inductive", training, V), ("all-at-once", union, V)],
+                                FitConfig(degree=degree))
+    for outcome in outcomes:
+        if isinstance(outcome, FitResult):
+            assert np.all(np.isfinite(outcome.model.points))
+        else:
+            assert isinstance(outcome, BsfError), repr(outcome)

@@ -92,3 +92,9 @@ def test_empty_rejected():
         mann_whitney_u([], [1.0], "less")
     with pytest.raises(ValueError):
         mann_whitney_u([1.0], [2.0], "sideways")
+
+
+@pytest.mark.parametrize("alternative", ["less", "greater"])
+def test_all_tied_groups_above_the_exact_limit_give_p_one(alternative):
+    # every value tied: the tie correction leaves no variance, and U sits at its mean
+    assert mann_whitney_u([2.0] * 9, [2.0] * 12, alternative) == (54.0, 1.0)

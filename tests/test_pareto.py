@@ -356,3 +356,28 @@ def test_csv_rejects_short_row(tmp_path):
     path.write_text("f1,f2\n1.0\n")
     with pytest.raises(ParseError, match="line 2"):
         load_sample(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty file"),
+        ("f1,f2,y1\n1.0,2.0,3.0\n", "line 1: trailing columns must be x1,x2,..."),
+        ("f1,f2\n1.0,2.0\n3.0,abc\n", "line 3: could not convert string to float: 'abc'"),
+        ("f1,f2,x1\n", "no data rows"),
+    ],
+)
+def test_csv_rejects_with_the_reason_and_the_file(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        load_sample(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("f1,f2,x1\n1.0,2.0,0.5\n\n3.0,4.0,0.25\n\n")
+    S = load_sample(path)
+    np.testing.assert_array_equal(S.objectives, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(S.solutions, [[0.5], [0.25]])

@@ -8,6 +8,7 @@ from bsf.errors import DomainError, InsufficientFrontError
 from bsf.pareto import SampleSet, nondominated_filter, save_sample
 from bsf.problems import (
     FileProblem,
+    ProblemDef,
     check_sizes,
     evaluate_objectives,
     feasible_pool,
@@ -302,6 +303,54 @@ def test_file_problem_split(tmp_path):
     assert validation.n == 20
     taken = {tuple(r) for S in training.values() for r in S.objectives}
     assert all(tuple(r) not in taken for r in validation.objectives)
+
+
+def _scripted_problem(draws):
+    """Two objectives equal to the two variables; the sampler hands out `draws` in turn."""
+    draws = iter(draws)
+    return ProblemDef("scripted", 2, 2, np.array([[0.0, 1.0]] * 2), lambda X: X.copy(),
+                      pareto_set_sampler=lambda face, n, rng: np.array(next(draws), dtype=float))
+
+
+@pytest.mark.parametrize("last, redrawn", [([[0.9, 0.1]], True), ([[0.8, 0.8]], False)])
+def test_analytic_face_sample_checks_every_redraw(last, redrawn):
+    # (0.6, 0.6) is dominated by (0.5, 0.5), and so is every redraw but the 20th's
+    draws = [[[0.1, 0.9], [0.5, 0.5], [0.6, 0.6]]] + [[[0.7, 0.7]]] * 19 + [last]
+    rng = np.random.default_rng(0)
+    if redrawn:
+        sample = problems._analytic_face_sample(_scripted_problem(draws), (0, 1), 3, rng, True)
+        np.testing.assert_array_equal(sample.objectives, [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]])
+        np.testing.assert_array_equal(sample.solutions, sample.objectives)
+    else:
+        with pytest.raises(InsufficientFrontError, match="could not draw 3 non-dominated points"):
+            problems._analytic_face_sample(_scripted_problem(draws), (0, 1), 3, rng, False)
+
+
+def test_analytic_face_sample_on_a_dominance_chain_raises():
+    # on objectives (x, x) the least x dominates every other draw
+    problem = ProblemDef("chain", 1, 2, np.array([[0.0, 1.0]]), lambda X: np.hstack([X, X]),
+                         pareto_set_sampler=lambda face, n, rng: rng.uniform(size=(n, 1)))
+    with pytest.raises(InsufficientFrontError, match="could not draw 3 non-dominated points on face of chain"):
+        problems._analytic_face_sample(problem, (0, 1), 3, np.random.default_rng(1), False)
+
+
+def test_split_errors_name_what_ran_out(monkeypatch):
+    corners = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # a file front of only its two corners: the vertices take both
+    with pytest.raises(InsufficientFrontError, match="^no points left for validation$"):
+        make_training_set(FileProblem("corners", SampleSet(corners)), (1,), seed=0)
+    # one more point is the only one on the edge: two cannot be drawn there
+    middle = SampleSet(np.vstack([corners, [[0.5, 0.5]]]))
+    with pytest.raises(InsufficientFrontError,
+                       match=r"^middle: face \(0, 1\) front has only 1 unused points, need 2$"):
+        make_training_set(FileProblem("middle", middle), (1, 2), seed=0)
+    # a pool of the two corners and a dominated point: nothing is left to validate on
+    monkeypatch.setattr(problems, "_FRONT_CACHE", {})
+    monkeypatch.setattr(problems, "feasible_pool",
+                        lambda problem, seed: (np.zeros((3, 1)), np.vstack([corners, [[2.0, 2.0]]])))
+    pool_problem = ProblemDef("tiny-pool", 1, 2, np.array([[0.0, 1.0]]), lambda X: X)
+    with pytest.raises(InsufficientFrontError, match="^tiny-pool: no validation points left$"):
+        make_training_set(pool_problem, (1,), seed=0)
 
 
 # -- golden splits: exact rows, so a refactor of the split loop is checked bit for bit

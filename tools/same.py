@@ -17,6 +17,9 @@ The list holds the four benchmark workloads' command lines, read from
 `perfbench/workloads.py`, at seeds 3 and 11 (osyczka2-pool at its fixed
 seed); more experiments (viennet2, a medM:4 graph, schaffer, constrex, a
 three-method N3 sweep); `generate`, `fit`, `evaluate` and `plot` on med5;
+`generate --graph`, `fit` and `evaluate` on med3, the model scored against
+its own validation set with solution columns; an experiment on a
+one-objective sample file, where the response surface fails every trial;
 and malformed-input probes, whose standard error is compared too.
 """
 
@@ -134,6 +137,15 @@ def steps() -> list[Step]:
         out.append(Step(f"med5-evaluate-{method}", _evaluate(model, "--out", f"med5/eval-{method}.csv")))
         out.append(Step(f"med5-evaluate-raw-{method}", _evaluate(model, "--no-normalize")))
     out += [
+        Step("graph-generate", ("generate", "--problem", "med3", "--sizes", "1,2,1", "--seed", "4",
+                                "--validation", "200", "--graph", "--out", "graph/data")),
+        Step("graph-fit", ("fit", "--method", "inductive", "--data", "graph/data",
+                           "--out", "graph/model.json")),
+        Step("graph-evaluate", _evaluate("graph/model.json", "--out", "graph/eval.csv",
+                                         validation="graph/data/validation.csv")),
+        Step("one-objective", _experiment("file:probes/one-objective.csv", ("inductive", "response-surface"),
+                                          "1", "exp/one-objective", "--trials", "2"),
+             _write("one-objective.csv", "".join(["f1\n"] + [f"{v / 16}\n" for v in range(1, 16)]).encode())),
         Step("plot-model", ("plot", "med5/model-inductive.json", "--out", "plots/model.svg")),
         Step("plot-sample", ("plot", "med5/data/validation.csv", "--out", "plots/sample.svg")),
         Step("plot-model-and-sample", ("plot", "med5/model-all-at-once.json",
