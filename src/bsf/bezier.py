@@ -76,6 +76,37 @@ def _multi_indices(m: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def compositions(m: int, total: int) -> np.ndarray:
+    """`multi_indices(m, total)` as an (n, m) array, row for row, of the least
+    unsigned integer type that holds `total`; built a column at a time,
+    without Python tuples, for grids too large to hold as tuples."""
+    if m < 1:
+        raise DimensionError(f"need at least one barycentric coordinate, got m={m}")
+    if total < 0:
+        raise InvalidIndexError(f"total must be nonnegative, got {total}")
+    dtype = np.min_scalar_type(total)
+    # `stack` holds the compositions of 0, 1, ..., total into k parts, block
+    # after block, and `counts` each block's size. Those of s into k + 1 parts
+    # are h = s, s - 1, ..., 0, each put before the compositions of s - h into
+    # k parts: the stack's first s + 1 blocks, block j after h = s - j. The
+    # last part count needs s = total alone.
+    stack = np.arange(total + 1, dtype=dtype)[:, None]
+    counts = np.ones(total + 1, dtype=np.intp)
+    for k in range(1, m):
+        ends = np.cumsum(counts)
+        block = np.repeat(np.arange(total + 1), counts)
+        sums = range(total + 1) if k + 1 < m else [total]
+        out = np.empty((sum(int(ends[s]) for s in sums), k + 1), dtype=dtype)
+        lo = 0
+        for s in sums:
+            hi = lo + ends[s]
+            out[lo:hi, 0] = s - block[:ends[s]]
+            out[lo:hi, 1:] = stack[:ends[s]]
+            lo = hi
+        stack, counts = out, ends
+    return stack[-1:] if m == 1 else stack
+
+
 def barycentric_grid(m: int, resolution: int) -> np.ndarray:
     """All barycentric vectors with denominator `resolution`; canonical order."""
     if resolution < 1:
@@ -183,6 +214,26 @@ def monomials(T, E) -> np.ndarray:
     return out
 
 
+def power_tables(values: np.ndarray, E) -> list[np.ndarray]:
+    """Per column j of the exponents E (K, m), the (len(values), K) table
+    values[:, None] ** E[:, j]: row i holds the factors `monomials(T, E)`
+    takes from a T[n, j] equal to values[i]. The exponent stays an array, as
+    in `monomials`, since numpy's scalar-exponent fast paths round
+    differently."""
+    E = np.asarray(E, dtype=float)
+    return [values[:, None] ** E[:, j] for j in range(E.shape[1])]
+
+
+def table_monomials(tables: list[np.ndarray], index) -> np.ndarray:
+    """`monomials(T, E)` for the rows T[n, j] = values[index[j][n]], from
+    `power_tables(values, E)`: the same factors, multiplied in the same
+    order, so the same bits, with no power taken per entry."""
+    out = tables[0].take(index[0], axis=0)
+    for table, i in zip(tables[1:], index[1:]):
+        out *= table.take(i, axis=0)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _basis_arrays(m: int, degree: int):
     idx = np.array(multi_indices(m, degree), dtype=float).reshape(-1, m)
@@ -237,25 +288,47 @@ def partial_derivatives(m: int, degree: int, points, T, order: int, bounds=None)
     ambient) without `bounds` is a stack of one over all rows. One design
     matrix serves every row, and each non-empty run takes one product with
     its shifted net, so each run gets the bits of a one-net call on its rows
-    alone.
+    alone. This is `shifted_nets` and then `derivatives_on_runs`; a caller
+    that needs one order of the same nets many times builds them once.
     """
     T = np.asarray(T, dtype=float)
-    points = np.asarray(points, dtype=float)
     if bounds is None:
-        points, bounds = points[None], [0, T.shape[0]]
+        points, bounds = np.asarray(points, dtype=float)[None], [0, T.shape[0]]
+    nets = shifted_nets(m, degree, points, order)
+    return derivatives_on_runs(m, degree, nets, T, order, np.asarray(bounds).tolist())
+
+
+def shifted_nets(m: int, degree: int, points, order: int) -> np.ndarray:
+    """The index-shifted nets of one derivative order, for a stack of nets
+    (F, K, ambient): shape (F, K_low, m ** order * ambient), C-contiguous,
+    where row e of net f holds p_{e+e_i1+...+e_ik} for every (i1, ..., ik)
+    and every coordinate. An order above the degree has no terms (K_low = 0).
+    """
+    points = np.asarray(points, dtype=float)
     if order > degree:
-        return np.zeros((T.shape[0], points.shape[-1]) + (m,) * order)
-    basis = weighted_design_matrix(m, degree - order, T)  # (n, K_low)
+        return np.zeros((points.shape[0], 0, m**order * points.shape[-1]))
     # (F, K_low, m, ..., m, ambient); take copies, so each net is C-contiguous
     net = points.take(_shift_rows(m, degree, order), axis=1)
-    flat = net.reshape(net.shape[:2] + (-1,))
-    out = np.empty((T.shape[0], flat.shape[-1]))
-    bounds = np.asarray(bounds).tolist()
-    for f, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if lo < hi:
-            np.matmul(basis[lo:hi], flat[f], out=out[lo:hi])
-    out = out.reshape((T.shape[0],) + net.shape[2:])
-    out *= math.perm(degree, order)
+    return net.reshape(net.shape[:2] + (-1,))
+
+
+def derivatives_on_runs(m: int, degree: int, nets: np.ndarray, T: np.ndarray, order: int,
+                        bounds: list) -> np.ndarray:
+    """`partial_derivatives` of one order from its `shifted_nets`: T is a
+    float array of rows, and `bounds` a list of F + 1 sorted row numbers, net
+    f serving rows bounds[f]:bounds[f+1]."""
+    n = T.shape[0]
+    if order > degree:
+        out = np.zeros((n, nets.shape[-1]))
+    else:
+        basis = weighted_design_matrix(m, degree - order, T)  # (n, K_low)
+        out = np.empty((n, nets.shape[-1]))
+        for f, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if lo < hi:
+                np.matmul(basis[lo:hi], nets[f], out=out[lo:hi])
+        if order:
+            out *= math.perm(degree, order)
+    out = out.reshape((n,) + (m,) * order + (nets.shape[-1] // m**order,))
     return out.transpose((0, order + 1) + tuple(range(1, order + 1)))
 
 
@@ -277,12 +350,12 @@ def as_barycentric_rows(T, m: int | None = None) -> np.ndarray:
         raise DimensionError(f"expected a 2-d array of coordinates, got shape {arr.shape}")
     if m is not None and arr.shape[1] != m:
         raise DimensionError(f"expected {m} barycentric coordinates, got {arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise BarycentricError("non-finite barycentric coordinates")
-    if np.any(arr < -REPAIR_TOLERANCE):
+    if (arr < -REPAIR_TOLERANCE).any():
         raise BarycentricError("negative barycentric coordinate beyond repair tolerance")
     sums = arr.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > REPAIR_TOLERANCE):
+    if (np.abs(sums - 1.0) > REPAIR_TOLERANCE).any():
         raise BarycentricError("coordinates do not sum to 1 within repair tolerance")
     return clamp_renorm(arr)[0]
 
@@ -292,12 +365,17 @@ def clamp_renorm(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the rows and a mask of those that could be renormalized; rows
     with no positive entry are left unnormalized and flagged False. A row
-    that already sums to exactly 1.0 keeps its bits.
+    that already sums to exactly 1.0 keeps its bits. When every row can be
+    renormalized, as on almost every Newton step, T is divided whole, with
+    the bits of dividing the masked rows.
     """
     np.maximum(T, 0.0, out=T)
     s = T.sum(axis=1)
     ok = s > 0.0
-    T[ok] /= s[ok, None]
+    if ok.all():  # the common case: divide in place, with no gather or scatter
+        T /= s[:, None]
+    else:
+        T[ok] /= s[ok, None]
     return T, ok
 
 

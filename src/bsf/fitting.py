@@ -41,8 +41,9 @@ from .bezier import (
     as_barycentric_rows,
     barycentric_grid,
     clamp_renorm as _clamp_renorm,
+    derivatives_on_runs,
     face_indices,
-    partial_derivatives,
+    shifted_nets,
     weighted_design_matrix,
 )
 from .errors import DimensionError, InsufficientDataError
@@ -219,33 +220,42 @@ def _newton_rows(m: int, degree: int, P, X, T, cfg: FitConfig, bounds) -> np.nda
     """The batched Newton iteration of project_parameter.
 
     `P` is a stack of control nets, net f serving rows bounds[f]:bounds[f+1].
-    Every subset of rows worked on stays sorted, so its runs are where the
-    bounds fall in it (see bezier.partial_derivatives). Only the products
-    with a net depend on more than the row itself.
+    The shifted nets of orders 0, 1 and 2 are built once per call (see
+    bezier.partial_derivatives). Every subset of rows worked on stays
+    sorted, so its runs are where the bounds fall in it; they are found
+    again only when the subset changes, and an iteration in which no row
+    stops finds them once for every order. Only the products with a net
+    depend on more than the row itself.
     """
+    nets = [shifted_nets(m, degree, P, order) for order in range(3)]
 
-    def derivatives(Tv, rows, order):
-        return partial_derivatives(m, degree, P, Tv, order, np.searchsorted(rows, bounds))
+    def derivatives(Tv, runs, order):
+        return derivatives_on_runs(m, degree, nets[order], Tv, order, runs)
 
-    def residuals(Tv, rows):  # b(t) - x
-        return derivatives(Tv, rows, 0) - X[rows]
+    def runs_of(rows):
+        return np.searchsorted(rows, bounds).tolist()
 
-    active = np.arange(T.shape[0])
-    R = residuals(T, active)  # at every row's current iterate
-    best_T, best_g = T.copy(), np.sum(R * R, axis=1)
+    def residuals(Tv, rows, runs):  # b(t) - x
+        return derivatives(Tv, runs, 0) - X[rows]
+
+    active, runs = np.arange(T.shape[0]), bounds.tolist()
+    R = residuals(T, active, runs)  # at every row's current iterate
+    best_T, best_g = T.copy(), (R * R).sum(axis=1)
     stalled = np.zeros(T.shape[0], dtype=int)
     for _ in range(cfg.max_newton_iters):
         if active.size == 0:
             break
         t, r = T[active], R[active]
-        jac = derivatives(t, active, 1)  # (k, A, m)
+        jac = derivatives(t, runs, 1)  # (k, A, m)
         resid = np.einsum("kaj,ka->kj", jac, r)
-        going = ~(np.sqrt(np.sum(resid * resid, axis=1)) <= cfg.newton_tol)
-        active, t, r, jac, resid = (a[going] for a in (active, t, r, jac, resid))
-        if active.size == 0:
-            break
-        hess = derivatives(t, active, 2)  # (k, A, m, m)
-        g_now = np.sum(r * r, axis=1)
+        going = ~(np.sqrt((resid * resid).sum(axis=1)) <= cfg.newton_tol)
+        if not going.all():
+            active, t, r, jac, resid = (a[going] for a in (active, t, r, jac, resid))
+            if active.size == 0:
+                break
+            runs = runs_of(active)
+        hess = derivatives(t, runs, 2)  # (k, A, m, m)
+        g_now = (r * r).sum(axis=1)
         grad = 2.0 * resid
         hg = 2.0 * (
             np.einsum("kai,kaj->kij", jac, jac) + np.einsum("ka,kaij->kij", r, hess)
@@ -254,35 +264,46 @@ def _newton_rows(m: int, degree: int, P, X, T, cfg: FitConfig, bounds) -> np.nda
         hu = hg[:, :-1, :-1] - hg[:, :-1, -1:] - hg[:, -1:, :-1] + hg[:, -1:, -1:]
         step = _solve_rows(hu, -gu)
         # a non-finite step fails its row, as a singular system does
-        step[~np.all(np.isfinite(step), axis=1)] = np.nan
-        step = np.append(step, -step.sum(axis=1, keepdims=True), axis=1)
+        finite = np.isfinite(step).all(axis=1)
+        if not finite.all():
+            step[~finite] = np.nan
+        step = np.concatenate((step, -step.sum(axis=1, keepdims=True)), axis=1)
         t_new, found = _clamp_renorm(t + step)
-        # damped gradient fallback keeps the iteration total
-        direction = np.append(-gu, gu.sum(axis=1, keepdims=True), axis=1)
-        alpha = 1.0
-        for _ in range(20):
-            todo = np.flatnonzero(~found)
-            if todo.size == 0:
-                break
-            cand, ok = _clamp_renorm(t[todo] + alpha * direction[todo])
-            rc = residuals(cand[ok], active[todo[ok]])
-            ok[ok] = np.sum(rc * rc, axis=1) < g_now[todo][ok]
-            t_new[todo[ok]] = cand[ok]
-            found[todo[ok]] = True
-            alpha *= 0.5
+        if not found.all():
+            # damped gradient fallback keeps the iteration total
+            direction = np.concatenate((-gu, gu.sum(axis=1, keepdims=True)), axis=1)
+            alpha = 1.0
+            for _ in range(20):
+                todo = np.flatnonzero(~found)
+                if todo.size == 0:
+                    break
+                cand, ok = _clamp_renorm(t[todo] + alpha * direction[todo])
+                rows = active[todo[ok]]
+                rc = residuals(cand[ok], rows, runs_of(rows))
+                ok[ok] = (rc * rc).sum(axis=1) < g_now[todo][ok]
+                t_new[todo[ok]] = cand[ok]
+                found[todo[ok]] = True
+                alpha *= 0.5
         # a row without a new iterate, or with no move, is at a fixed point
         # (typically a clamped boundary minimum)
-        moved = found & (np.max(np.abs(t_new - t), axis=1) > 1e-15)
-        active, t_new = active[moved], t_new[moved]
+        moved = found & (np.abs(t_new - t).max(axis=1) > 1e-15)
+        if not moved.all():
+            active, t_new = active[moved], t_new[moved]
+            runs = runs_of(active)
         T[active] = t_new
-        R[active] = residuals(t_new, active)
-        g = np.sum(R[active] ** 2, axis=1)
+        r = residuals(t_new, active, runs)
+        R[active] = r
+        g = (r**2).sum(axis=1)
         better = g < best_g[active]
-        best_T[active[better]] = t_new[better]
-        best_g[active[better]] = g[better]
-        stalled[active[better]] = 0
+        improved = active[better]
+        best_T[improved] = t_new[better]
+        best_g[improved] = g[better]
+        stalled[improved] = 0
         stalled[active[~better]] += 1
-        active = active[stalled[active] < 5]
+        keep = stalled[active] < 5
+        if not keep.all():
+            active = active[keep]
+            runs = runs_of(active)
     return best_T
 
 

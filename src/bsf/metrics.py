@@ -46,11 +46,14 @@ import numpy as np
 
 from .bezier import (
     BezierSimplex,
+    _basis_arrays,
     _blocked_matmul,
     _grid_chunks,
     _matmul_on,
     as_barycentric_rows,
-    multi_indices,
+    compositions,
+    power_tables,
+    table_monomials,
     weighted_design_matrix,
 )
 from .errors import DimensionError
@@ -136,20 +139,35 @@ def grid_rows(model: BezierSimplex, resolution: int) -> RowSource:
     """Model values on the barycentric grid with the given denominator, as a
     source of C(resolution + m - 1, m - 1) rows in R^ambient.
 
-    Each chunk is validated (`as_barycentric_rows`), weighted and multiplied
-    out on its own, on the `_row_blocks` bounds of the whole grid's product,
-    so every row has the bits `model.evaluate_batch(barycentric_grid(m,
-    resolution))` gives it. A row that overflows raises DimensionError.
+    The grid is an integer table (`compositions`), and every coordinate one
+    of the values k/resolution, so each chunk's design matrix is gathered
+    from one (resolution + 1, K) power table per coordinate and multiplied
+    in `monomials`'s order (`table_monomials`), with no power taken per
+    entry. A row whose k/resolution do not sum to exactly 1.0 is one that
+    `as_barycentric_rows` renormalises; those rows go through it and
+    `weighted_design_matrix`. Each chunk is multiplied out on its own, on the
+    `_row_blocks` bounds of the whole grid's product, so every row has the
+    bits `model.evaluate_batch(barycentric_grid(m, resolution))` gives it. A
+    row that overflows raises DimensionError.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
-    grid = multi_indices(model.m, resolution)
-    n, ambient = len(grid), model.ambient
+    m, degree = model.m, model.degree
+    grid = compositions(m, resolution)
+    exponents, weights = _basis_arrays(m, degree)
+    tables = power_tables(np.arange(resolution + 1) / resolution, exponents)
+    n, ambient = grid.shape[0], model.ambient
 
     def make(bounds):
         lo, hi = bounds[0], bounds[-1]
-        T = as_barycentric_rows(np.array(grid[lo:hi], dtype=float) / resolution, model.m)
-        design = weighted_design_matrix(model.m, model.degree, T)
+        index = grid[lo:hi]
+        design = table_monomials(tables, index.T)
+        design *= weights
+        T = index / resolution
+        renormalised = np.flatnonzero(T.sum(axis=1) != 1.0)
+        if renormalised.size:
+            T = as_barycentric_rows(T[renormalised], m)
+            design[renormalised] = weighted_design_matrix(m, degree, T)
         with np.errstate(over="ignore", invalid="ignore"):
             out = _matmul_on(design, model.points, bounds, np.empty((hi - lo, ambient)))
         return check_finite(out)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bezier import _blocked_matmul, _grid_chunks, monomials
+from .bezier import _blocked_matmul, _grid_chunks, monomials, power_tables, table_monomials
 from .errors import DimensionError, ParseError, reading
 from .metrics import RowSource
 from .pareto import SampleSet, check_finite, normalizer_from
@@ -72,12 +72,9 @@ class ResponseSurface:
         if resolution < 1:
             raise ValueError("resolution must be at least 1")
         axis = np.arange(resolution + 1) / resolution
-        E = np.asarray(self.exponents, dtype=float)
         # every coordinate is an axis value, so each input's factors of the
-        # design matrix are rows of one (resolution + 1, K) power table; the
-        # exponent stays an array, as in `monomials`, since numpy's scalar
-        # exponent fast paths round differently
-        tables = [axis[:, None] ** E[:, j] for j in range(self.m - 1)]
+        # design matrix are rows of one (resolution + 1, K) power table
+        tables = power_tables(axis, self.exponents)
         shape = (resolution + 1,) * (self.m - 1)
         n = (resolution + 1) ** (self.m - 1)
 
@@ -88,9 +85,7 @@ class ResponseSurface:
                 # design rows one product block at a time: K columns each, to a chunk row's M
                 for lo, hi in zip(bounds[:-1], bounds[1:]):
                     idx = np.unravel_index(np.arange(lo, hi), shape)
-                    design = tables[0].take(idx[0], axis=0)
-                    for table, i in zip(tables[1:], idx[1:]):
-                        design *= table.take(i, axis=0)
+                    design = table_monomials(tables, idx)
                     block = rows[lo - c0:hi - c0]
                     for j, i in enumerate(idx):
                         block[:, j] = axis[i]
@@ -99,7 +94,7 @@ class ResponseSurface:
                 rows += self.lo
             return check_finite(rows)
 
-        return RowSource(n, self.m, _grid_chunks(n, len(E), None), make)
+        return RowSource(n, self.m, _grid_chunks(n, len(self.exponents), None), make)
 
     def to_dict(self) -> dict:
         return {

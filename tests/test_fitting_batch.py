@@ -393,6 +393,39 @@ def test_one_projection_call_per_cardinality_iteration(monkeypatch):
     assert any(isinstance(c, tuple) and len(c) == 10 for c in calls)
 
 
+def test_one_projection_call_builds_each_orders_nets_once(monkeypatch):
+    # the shifted nets of orders 0, 1 and 2 are built once per projection
+    # call, however many Newton iterations apply them
+    training, validation = make_training_set(get_problem("med5"), (1, 2, 10), seed=7,
+                                             validation_size=50)
+    V = vertex_optima_from(training, validation.m)
+    built, applied, projections = [], [], []
+    real_nets, real_apply, real_project = (
+        fitting.shifted_nets, fitting.derivatives_on_runs, fitting.project_parameter)
+
+    def nets(m, degree, points, order):
+        built.append((len(projections), order))
+        return real_nets(m, degree, points, order)
+
+    def apply(m, degree, nets, T, order, bounds):
+        applied.append((len(projections), order))
+        return real_apply(m, degree, nets, T, order, bounds)
+
+    def project(models, *args):
+        projections.append(models[0].m)
+        return real_project(models, *args)
+
+    monkeypatch.setattr(fitting, "shifted_nets", nets)
+    monkeypatch.setattr(fitting, "derivatives_on_runs", apply)
+    monkeypatch.setattr(fitting, "project_parameter", project)
+    fit_inductive_skeleton(training, V, FitConfig(degree=3))
+    newton = [k for k, m in enumerate(projections, 1) if m > 1]  # m = 1 takes no Newton step
+    assert built == [(k, order) for k in newton for order in range(3)]
+    jacobians = [k for k, order in applied if order == 1]
+    assert set(jacobians) == set(newton)
+    assert len(jacobians) > 2 * len(newton)  # many iterations per call
+
+
 def test_all_at_once_projects_a_batch_of_one_per_iteration(monkeypatch):
     # one call per outer iteration, each on a tuple of the one model
     training, validation = make_training_set(get_problem("med3"), (1, 2, 1), seed=3,

@@ -1,3 +1,4 @@
+import math
 from contextlib import contextmanager
 from itertools import product
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bsf.bezier import BezierSimplex, barycentric_grid, multi_indices
+from bsf import metrics
+from bsf.bezier import BezierSimplex, barycentric_grid, compositions, multi_indices
 from bsf.errors import DimensionError
 from bsf.fitting import FitConfig, initialize_control_net
 from bsf.harness import fit_method, score, surface_rows, vertex_optima_from
-from bsf.metrics import RowSource, gd, gd_igd, grid_sample, igd
+from bsf.metrics import RowSource, gd, gd_igd, grid_rows, grid_sample, igd
 from bsf.pareto import SampleSet, normalizer_from
 from bsf.problems import get_problem, make_training_set
 from bsf.response_surface import fit_response_surface
@@ -38,6 +40,41 @@ def test_grid_sample_degree_one_covers_simplex():
     model = initialize_control_net(np.eye(2) * 2.0, 3)
     S = grid_sample(model, 4)
     np.testing.assert_allclose(S.objectives.sum(axis=1), 2.0, atol=1e-12)
+
+
+# grids of the power-table sweep below hold at most this many rows, which
+# keeps m = 8 to r <= 9; the medM:6 and medM:8 grids at r = 20 are compared
+# by tools/same.py and tools/medm8_trial.py
+SWEEP_ROWS = 12_000
+
+
+def test_grid_rows_from_power_tables_keep_the_bits(monkeypatch):
+    # the table path against the materialised grid, every row repaired by
+    # as_barycentric_rows; rows whose k/r do not sum to exactly 1.0 take
+    # the repair in grid_rows too, and the sweep must meet some
+    renormalised = {}
+    real = metrics.as_barycentric_rows
+
+    def counting(T, m=None):
+        renormalised[case] = renormalised.get(case, 0) + T.shape[0]
+        return real(T, m)
+
+    monkeypatch.setattr(metrics, "as_barycentric_rows", counting)
+    rng = np.random.default_rng(31)
+    cases = [(m, d, r) for m in range(2, 9) for d in range(5) for r in range(1, 26)]
+    cases += [(2, d, 300) for d in range(5)]  # past uint8
+    for case in cases:
+        m, degree, r = case
+        if math.comb(r + m - 1, m - 1) > SWEEP_ROWS:
+            continue
+        table = compositions(m, r)
+        assert table.tolist() == [list(d) for d in multi_indices(m, r)], case
+        assert np.iinfo(table.dtype).max >= r
+        model = BezierSimplex(m, degree, rng.normal(size=(len(multi_indices(m, degree)), 3)))
+        want = model.evaluate_batch(barycentric_grid(m, r))
+        assert grid_rows(model, r).collect().tobytes() == want.tobytes(), case
+    assert renormalised[(5, 3, 20)] == 805  # of med5's 10,626 scoring rows
+    assert compositions(2, 300).dtype == np.uint16
 
 
 # -- gd / igd -------------------------------------------------------------------

@@ -15,8 +15,8 @@ differs. The worktree is removed afterwards.
 
 The list holds the four benchmark workloads' command lines, read from
 `perfbench/workloads.py`, at seeds 3 and 11 (osyczka2-pool at its fixed
-seed); more experiments (viennet2, a medM:4 graph, schaffer, constrex, a
-three-method N3 sweep); `generate`, `fit`, `evaluate` and `plot` on med5;
+seed); more experiments (viennet2, a medM:4 graph, medM:6, schaffer,
+constrex, a three-method N3 sweep); `generate`, `fit`, `evaluate` and `plot` on med5;
 `generate --graph`, `fit` and `evaluate` on med3, the model scored against
 its own validation set with solution columns; an experiment on a
 one-objective sample file, where the response surface fails every trial;
@@ -123,6 +123,8 @@ def steps() -> list[Step]:
         Step("viennet2", _experiment("viennet2", METHODS, "1,2,1", "exp/viennet2", "--trials", "5")),
         Step("medM4-graph", _experiment("medM:4", BEZIER, "1,2,1,1", "exp/medM4-graph",
                                         "--graph", "--trials", "3")),
+        # a 53,130-row scoring grid, past med5's m, with renormalised rows
+        Step("medM6", _experiment("medM:6", BEZIER, "1,2,1", "exp/medM6", "--trials", "2")),
         Step("schaffer", _experiment("schaffer", BEZIER, "1,3", "exp/schaffer", "--trials", "5")),
         Step("constrex", _experiment("constrex", BEZIER, "1,3", "exp/constrex", "--trials", "5")),
         Step("med3-sweep", _experiment("med3", METHODS, "1,2,1", "exp/med3-sweep",
