@@ -31,6 +31,7 @@ from .errors import (
     FaceError,
     InvalidIndexError,
     ParseError,
+    integer_field,
     reading,
 )
 
@@ -53,33 +54,13 @@ _ROW_UNIT = 8
 _GRID_CHUNK_ROWS = 4096
 
 
-def multi_indices(m: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All compositions of `degree` into `m` nonnegative parts.
-
-    Returned in descending lexicographic order; length C(degree + m - 1, degree).
-    """
-    if m < 1:
-        raise DimensionError(f"need at least one barycentric coordinate, got m={m}")
-    if degree < 0:
-        raise InvalidIndexError(f"degree must be nonnegative, got {degree}")
-    return _multi_indices(m, degree)
-
-
 @lru_cache(maxsize=None)
-def _multi_indices(m: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    if m == 1:
-        return ((degree,),)
-    out = []
-    for head in range(degree, -1, -1):
-        for tail in _multi_indices(m - 1, degree - head):
-            out.append((head,) + tail)
-    return tuple(out)
-
-
 def compositions(m: int, total: int) -> np.ndarray:
-    """`multi_indices(m, total)` as an (n, m) array, row for row, of the least
-    unsigned integer type that holds `total`; built a column at a time,
-    without Python tuples, for grids too large to hold as tuples."""
+    """All compositions of `total` into `m` nonnegative parts, in descending
+    lexicographic order: the one table of multi-indices, C(total + m - 1,
+    m - 1) rows by m columns of the least unsigned integer type that holds
+    `total`. Built a column at a time, without Python tuples, once per
+    (m, total) and returned read-only; `multi_indices` is its tuple view."""
     if m < 1:
         raise DimensionError(f"need at least one barycentric coordinate, got m={m}")
     if total < 0:
@@ -104,14 +85,25 @@ def compositions(m: int, total: int) -> np.ndarray:
             out[lo:hi, 1:] = stack[:ends[s]]
             lo = hi
         stack, counts = out, ends
-    return stack[-1:] if m == 1 else stack
+    table = stack[-1:] if m == 1 else stack
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def multi_indices(m: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of `compositions(m, degree)` as tuples, for a net's own
+    index lookups; grids use the table itself."""
+    if degree < 0:
+        raise InvalidIndexError(f"degree must be nonnegative, got {degree}")
+    return tuple(map(tuple, compositions(m, degree).tolist()))
 
 
 def barycentric_grid(m: int, resolution: int) -> np.ndarray:
     """All barycentric vectors with denominator `resolution`; canonical order."""
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
-    return np.array(multi_indices(m, resolution), dtype=float) / resolution
+    return compositions(m, resolution) / resolution
 
 
 def multinomial(degree: int, index: tuple[int, ...]) -> int:
@@ -160,37 +152,31 @@ def _row_blocks(n: int, inner: int, cols: int | None) -> list[int]:
     return bounds
 
 
-def _blocked_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A @ B for 2-d A, one `_row_blocks` block at a time: the bits of one
-    product (but see `_row_blocks`), without waking OpenBLAS's threads. `out`
-    is as in np.matmul. A product that fits whole is a plan of one block,
-    and so one np.matmul into `out`: the BLAS call of A @ B.
+def _blocked_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None, bounds=None) -> np.ndarray:
+    """A @ B for 2-d A, one product per block of `bounds`: row numbers of a
+    larger product, of which A holds rows bounds[0]:bounds[-1]. They default
+    to the `_row_blocks` of A @ B, which give the bits of one product (but
+    see `_row_blocks`) without waking OpenBLAS's threads; a product that fits
+    whole is one np.matmul into `out` (as in np.matmul), the BLAS call of A @ B.
 
     The leading blocks, which have equal rows, go in one stacked np.matmul
     of C-contiguous views: numpy runs the same BLAS call on each block, so
     the bits are those of one call per block, for one call's overhead and
     one release of the GIL."""
-    bounds = _row_blocks(A.shape[0], A.shape[1], B.shape[1] if B.ndim == 2 else None)
+    if bounds is None:
+        bounds = _row_blocks(A.shape[0], A.shape[1], B.shape[1] if B.ndim == 2 else None)
     if out is None:
         out = np.empty((A.shape[0],) + B.shape[1:], dtype=np.result_type(A, B))
-    step = bounds[1]
-    equal = next((k for k in range(1, len(bounds)) if bounds[k] != k * step), len(bounds)) - 1
-    if equal > 1 and A.flags.c_contiguous and out.flags.c_contiguous:
-        rows = equal * step
-        stacked = out[:rows].reshape((equal, step) + out.shape[1:])
-        np.matmul(A[:rows].reshape(equal, step, A.shape[1]), B, out=stacked)
-        if rows < A.shape[0]:
-            _matmul_on(A[rows:], B, bounds[equal:], out[rows:])
-        return out
-    return _matmul_on(A, B, bounds, out)
-
-
-def _matmul_on(A: np.ndarray, B: np.ndarray, bounds, out: np.ndarray) -> np.ndarray:
-    """A @ B into `out`, one product per block of `bounds`: row numbers of a
-    larger product, of which A holds rows bounds[0]:bounds[-1]."""
-    base = bounds[0]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.matmul(A[lo - base:hi - base], B, out=out[lo - base:hi - base])
+    rows = [b - bounds[0] for b in bounds]
+    step = rows[1]
+    equal = next((k for k in range(1, len(rows)) if rows[k] != k * step), len(rows)) - 1
+    if equal < 2 or not (A.flags.c_contiguous and out.flags.c_contiguous):
+        equal = 0
+    else:
+        stacked = out[:rows[equal]].reshape((equal, step) + out.shape[1:])
+        np.matmul(A[:rows[equal]].reshape(equal, step, A.shape[1]), B, out=stacked)
+    for lo, hi in zip(rows[equal:-1], rows[equal + 1:]):
+        np.matmul(A[lo:hi], B, out=out[lo:hi])
     return out
 
 
@@ -236,9 +222,8 @@ def table_monomials(tables: list[np.ndarray], index) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _basis_arrays(m: int, degree: int):
-    idx = np.array(multi_indices(m, degree), dtype=float).reshape(-1, m)
-    w = np.array([multinomial(degree, d) for d in multi_indices(m, degree)], dtype=float)
-    return idx, w
+    weights = [multinomial(degree, d) for d in multi_indices(m, degree)]
+    return compositions(m, degree).astype(float), np.array(weights, dtype=float)
 
 
 def weighted_design_matrix(m: int, degree: int, T: np.ndarray) -> np.ndarray:
@@ -497,11 +482,14 @@ class BezierSimplex:
     # -- structure ----------------------------------------------------------
 
     def restrict(self, face) -> "BezierSimplex":
-        """Sub-model over the face's own simplex; agrees with the parent on it."""
+        """Sub-model over the face's own simplex; agrees with the parent on it.
+        Its control points are the parent's at the face's own index table
+        embedded into m columns, zeros off the face."""
         face = _check_face(face, self.m)
-        sub_idx = multi_indices(len(face), self.degree)
-        rows = [self.index_row(embed_index(d, face, self.m)) for d in sub_idx]
-        return BezierSimplex(len(face), self.degree, self.points[rows])
+        sub = compositions(len(face), self.degree)
+        embedded = np.zeros((sub.shape[0], self.m), dtype=int)
+        embedded[:, list(face)] = sub
+        return BezierSimplex(len(face), self.degree, self.points[[self.index_row(d) for d in embedded.tolist()]])
 
     def elevate(self) -> "BezierSimplex":
         """Equivalent model of degree + 1 (exact re-expression, same map)."""
@@ -532,7 +520,7 @@ class BezierSimplex:
     def from_dict(cls, data: dict) -> "BezierSimplex":
         """The simplex of a `to_dict` record; ParseError names the first
         control point that is not a vector of finite numbers."""
-        m, degree, ambient = int(data["M"]), int(data["D"]), int(data["A"])
+        m, degree, ambient = (integer_field(data, name) for name in ("M", "D", "A"))
         entries = {tuple(e["index"]): e["point"] for e in data["control_points"]}
         idx = multi_indices(m, degree)
         if set(entries) != set(idx):
@@ -560,10 +548,3 @@ class BezierSimplex:
         with reading(path, "model file"):
             return cls.from_dict(json.loads(Path(path).read_text()))
 
-
-def embed_index(d: tuple[int, ...], face: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Place a face-local multi-index into m coordinates, zeros elsewhere."""
-    out = [0] * m
-    for value, j in zip(d, face):
-        out[j] = value
-    return tuple(out)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import plotting
 from .bezier import BezierSimplex
-from .errors import BsfError, DimensionError, ParseError, reading
+from .errors import BsfError, DimensionError, ParseError, integer_field, reading
 from .fitting import FitConfig, init_parameters, project_parameter, sse
 from .harness import (
     METHODS,
@@ -167,9 +167,7 @@ def load_training_dir(data_dir):
         files = [
             (tuple(j - 1 for j in e["objectives"]), path.parent / e["file"]) for e in manifest["faces"]
         ]
-        validation_file, m = path.parent / manifest["validation"], manifest["M"]
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise ValueError(f"M must be an integer, not {m!r}")
+        validation_file, m = path.parent / manifest["validation"], integer_field(manifest, "M")
     # outside the manifest's block, so a sample file's error names that file alone
     training = {face: load_sample(file) for face, file in files}
     counts = sorted({S.m for S in (load_sample(validation_file), *training.values())})

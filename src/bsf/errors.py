@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and `reading`, the one place
-where a malformed input file becomes a ParseError that names the file."""
+"""Exception types shared across the package; `reading`, the one place
+where a malformed input file becomes a ParseError that names the file; and
+`integer_field`, the one rule for a record's integer header fields."""
 
 import json
 from contextlib import contextmanager
@@ -59,3 +60,12 @@ def reading(path, what="file"):
         raise ParseError(f"{path}: {what} has no field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def integer_field(record: dict, name: str) -> int:
+    """record[name], which must be an int and not a bool: a float such as 3.0,
+    a string or a list is a ParseError `<name> must be an integer, not <value>`."""
+    value = record[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{name} must be an integer, not {value!r}")
+    return value

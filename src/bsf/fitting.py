@@ -68,7 +68,7 @@ class FitConfig:
             raise ValueError(f"degree {self.degree} exceeds exact-arithmetic limit {MAX_EXACT_DEGREE}")
         if self.max_outer_iters < 1 or self.max_newton_iters < 1:
             raise ValueError("iteration caps must be at least 1")
-        if self.newton_tol <= 0 or self.outer_tol <= 0:
+        if not (self.newton_tol > 0 and self.outer_tol > 0):  # NaN included
             raise ValueError("tolerances must be positive")
         if self.init_grid_resolution < 1:
             raise ValueError("init grid resolution must be at least 1")

@@ -49,7 +49,6 @@ from .bezier import (
     _basis_arrays,
     _blocked_matmul,
     _grid_chunks,
-    _matmul_on,
     as_barycentric_rows,
     compositions,
     power_tables,
@@ -169,7 +168,7 @@ def grid_rows(model: BezierSimplex, resolution: int) -> RowSource:
             T = as_barycentric_rows(T[renormalised], m)
             design[renormalised] = weighted_design_matrix(m, degree, T)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _matmul_on(design, model.points, bounds, np.empty((hi - lo, ambient)))
+            out = _blocked_matmul(design, model.points, bounds=bounds)
         return check_finite(out)
 
     return RowSource(n, ambient, _grid_chunks(n, len(model.indices), ambient), make)

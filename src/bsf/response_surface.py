@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bezier import _blocked_matmul, _grid_chunks, monomials, power_tables, table_monomials
-from .errors import DimensionError, ParseError, reading
+from .errors import DimensionError, ParseError, integer_field, reading
 from .metrics import RowSource
 from .pareto import SampleSet, check_finite, normalizer_from
 
@@ -110,7 +110,7 @@ class ResponseSurface:
     def from_dict(cls, data: dict) -> "ResponseSurface":
         """The surface of a `to_dict` record; ParseError names the first field
         that no fit could have written."""
-        m = int(data["M"])
+        m = integer_field(data, "M")
         if m < 2:
             raise ParseError(f"response surface: M is {m}, need at least 2")
         exponents = cubic_basis_exponents(m - 1)

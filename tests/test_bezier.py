@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bsf.bezier import (
     BezierSimplex,
     as_barycentric,
+    compositions,
     embed_on_face,
     face_indices,
     monomials,
@@ -24,6 +26,7 @@ from bsf.errors import (
     InvalidIndexError,
     ParseError,
 )
+from bsf.metrics import grid_rows
 from bsf.response_surface import cubic_basis_exponents
 
 
@@ -105,6 +108,44 @@ def test_enumeration_count_and_order(m, degree):
     assert all(sum(d) == degree for d in idx)
     assert list(idx) == sorted(idx, reverse=True)
     assert len(set(idx)) == len(idx)
+
+
+def stars_and_bars(m, total):
+    """Compositions of `total` into m parts, in descending lexicographic
+    order, from the positions of m - 1 bars among total + m - 1 slots."""
+    out = []
+    for bars in itertools.combinations(range(total + m - 1), m - 1):
+        edges = (-1, *bars, total + m - 1)
+        out.append([hi - lo - 1 for lo, hi in zip(edges[:-1], edges[1:])])
+    return out[::-1]
+
+
+def test_compositions_match_stars_and_bars():
+    cases = [(m, total) for m in range(1, 9) for total in range(13)] + [(2, 300), (3, 250)]
+    for m, total in cases:
+        table = compositions(m, total)
+        assert table.dtype == (np.uint8 if total < 256 else np.uint16), (m, total)
+        assert table.shape == (math.comb(total + m - 1, m - 1), m), (m, total)
+        assert table.tolist() == stars_and_bars(m, total), (m, total)
+        assert multi_indices(m, total) == tuple(map(tuple, stars_and_bars(m, total))), (m, total)
+
+
+def test_compositions_is_one_read_only_table():
+    table = compositions(4, 6)
+    assert compositions(4, 6) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+
+
+def test_two_models_grids_build_the_table_once():
+    rng = np.random.default_rng(5)
+    models = [BezierSimplex(3, d, rng.normal(size=(len(multi_indices(3, d)), 2))) for d in (2, 3)]
+    for model in models:  # their own exponent tables, built and cached beforehand
+        weighted_design_matrix(model.m, model.degree, np.eye(3))
+    compositions.cache_clear()
+    grids = [grid_rows(model, 17).collect() for model in models]
+    assert compositions.cache_info().misses == 1
+    assert [g.shape for g in grids] == [(171, 2), (171, 2)]
 
 
 # -- multinomial ------------------------------------------------------------------
@@ -474,11 +515,7 @@ def test_from_dict_rejects_points_of_the_wrong_dimension():
     "edit, reason",
     [
         pytest.param(None, "not a JSON file (Expecting value: line 1 column 1 (char 0))", id="not-json"),
-        pytest.param(
-            lambda d: d.update(M=[3]),
-            "int() argument must be a string, a bytes-like object or a real number, not 'list'",
-            id="list-M",
-        ),
+        pytest.param(lambda d: d.update(M=[3]), "M must be an integer, not [3]", id="list-M"),
         pytest.param(
             lambda d: d.pop("control_points"), "model file has no field 'control_points'", id="missing-field"
         ),

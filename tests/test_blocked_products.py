@@ -8,6 +8,7 @@ need not start one of its row groups, which changes the last bits of a row
 or two (2 of 194,481 rows in one measured 194,481 x 19 product).
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -146,7 +147,8 @@ def test_grid_rows_products_run_on_the_blocked_matmul_rows(monkeypatch, m, degre
     real = np.matmul
 
     def spy(a, *args, **kwargs):
-        rows.append(a.shape[0])
+        # each item of a stacked call is one BLAS call of its own
+        rows.extend([a.shape[-2]] * math.prod(a.shape[:-2]))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)

@@ -731,6 +731,34 @@ def test_fit_rejects_a_manifest_m_the_samples_disagree_with(tmp_path, capsys, m,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", ["--newton-tol", "--outer-tol"])
+def test_fit_rejects_a_nan_tolerance(tmp_path, capsys, option):
+    data, _ = write_synthetic_training(tmp_path)
+    out = tmp_path / "m.json"
+    assert run_cli("fit", "--method", "inductive", "--data", data, "--out", out, option, "nan") == 2
+    assert capsys.readouterr().err == "error: tolerances must be positive\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, field, value, shown",
+    [
+        ("bezier", "A", 2.5, "2.5"),
+        ("bezier", "A", "2", "'2'"),
+        ("bezier", "D", True, "True"),
+        ("bezier", "D", 1.9, "1.9"),
+        ("bezier", "M", 3.0, "3.0"),
+        ("surface", "M", 3.7, "3.7"),
+        ("surface", "M", "3", "'3'"),
+    ],
+)
+def test_evaluate_rejects_a_model_header_that_is_not_an_integer(tmp_path, capsys, kind, field, value, shown):
+    args, path = _bad_model(kind, **{field: value})(tmp_path)
+    capsys.readouterr()
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err == f"error: {path}: {field} must be an integer, not {shown}\n"
+
+
 def _plot_of(path, tmp_path):
     return ["plot", path, "--out", tmp_path / "x.svg"]
 

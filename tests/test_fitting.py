@@ -42,6 +42,13 @@ def test_config_rejects_degree_above_exact_limit():
         FitConfig(degree=MAX_EXACT_DEGREE + 1)
 
 
+@pytest.mark.parametrize("field", ["newton_tol", "outer_tol"])
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1e-5])
+def test_config_rejects_tolerances_that_are_not_positive(field, value):
+    with pytest.raises(ValueError, match="^tolerances must be positive$"):
+        FitConfig(**{field: value})
+
+
 def test_init_net_m2_grid_formula():
     a, b = np.array([1.0, 0.0]), np.array([0.0, 3.0])
     net = initialize_control_net([a, b], 3)

@@ -20,7 +20,8 @@ constrex, a three-method N3 sweep); `generate`, `fit`, `evaluate` and `plot` on 
 `generate --graph`, `fit` and `evaluate` on med3, the model scored against
 its own validation set with solution columns; an experiment on a
 one-objective sample file, where the response surface fails every trial;
-and malformed-input probes, whose standard error is compared too.
+and malformed-input probes (bad manifests, model headers and tolerances),
+whose standard error is compared too.
 """
 
 from __future__ import annotations
@@ -165,12 +166,20 @@ def steps() -> list[Step]:
         ("manifest-true-M", _fit("probes/manifest-true-M"),
          _copy_data("manifest-true-M", lambda m: {**m, "M": True})),
         ("manifest-M-3", _fit("probes/manifest-M-3"), _copy_data("manifest-M-3", lambda m: {**m, "M": 3})),
+        ("fit-nan-newton-tol", ("fit", "--method", "inductive", "--data", "med5/data", "--newton-tol", "nan",
+                                "--out", "probes/nan-newton-tol.json"), None),
+        ("fit-nan-outer-tol", ("fit", "--method", "inductive", "--data", "med5/data", "--outer-tol", "nan",
+                               "--out", "probes/nan-outer-tol.json"), None),
         ("bezier-list-M", _evaluate("probes/bezier-list-M.json"),
          _edit_json("med5/model-inductive.json", "bezier-list-M.json", M=[5])),
         ("bezier-int-control-points", _evaluate("probes/bezier-int-control-points.json"),
          _edit_json("med5/model-inductive.json", "bezier-int-control-points.json", control_points=5)),
         ("surface-null-M", _evaluate("probes/surface-null-M.json"),
          _edit_json("med5/model-response-surface.json", "surface-null-M.json", M=None)),
+        ("bezier-fraction-A", _evaluate("probes/bezier-fraction-A.json"),
+         _edit_json("med5/model-inductive.json", "bezier-fraction-A.json", A=2.5)),
+        ("surface-string-M", _evaluate("probes/surface-string-M.json"),
+         _edit_json("med5/model-response-surface.json", "surface-string-M.json", M="3")),
         ("model-not-json", _evaluate("probes/model-not-json.json"), _write("model-not-json.json", b"nope\n")),
         ("validation-not-utf8", _evaluate("med5/model-inductive.json", validation="probes/bad.csv"),
          _write("bad.csv", b"f1,f2,f3,f4,f5\n1,2,3,4,\xff\n")),
