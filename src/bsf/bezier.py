@@ -382,21 +382,17 @@ def _check_face(face, m: int) -> tuple[int, ...]:
 
 
 def face_indices(m: int, degree: int, face) -> tuple[tuple, tuple]:
-    """Split the index set of a face into (all, interior).
-
-    `all` holds the multi-indices supported inside the face; `interior` those
-    whose support is exactly the face (not shared with any proper subface).
-    """
+    """Split the index set of a face into (all, interior): `all` is the
+    face's own table `compositions(len(face), degree)` embedded into m
+    columns, zeros off the face, in canonical order; `interior` its rows with
+    no zero on the face, whose support is exactly the face (not shared with
+    any proper subface)."""
     face = _check_face(face, m)
-    fset = set(face)
-    all_idx, interior = [], []
-    for d in multi_indices(m, degree):
-        support = {i for i, di in enumerate(d) if di > 0}
-        if support <= fset:
-            all_idx.append(d)
-            if support == fset:
-                interior.append(d)
-    return tuple(all_idx), tuple(interior)
+    sub = compositions(len(face), degree)
+    embedded = np.zeros((sub.shape[0], m), dtype=int)
+    embedded[:, list(face)] = sub
+    all_idx = tuple(map(tuple, embedded.tolist()))
+    return all_idx, tuple(d for d, inside in zip(all_idx, sub.all(axis=1).tolist()) if inside)
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,13 +479,11 @@ class BezierSimplex:
 
     def restrict(self, face) -> "BezierSimplex":
         """Sub-model over the face's own simplex; agrees with the parent on it.
-        Its control points are the parent's at the face's own index table
-        embedded into m columns, zeros off the face."""
+        Its control points are the parent's at the face's `face_indices`, in
+        order."""
         face = _check_face(face, self.m)
-        sub = compositions(len(face), self.degree)
-        embedded = np.zeros((sub.shape[0], self.m), dtype=int)
-        embedded[:, list(face)] = sub
-        return BezierSimplex(len(face), self.degree, self.points[[self.index_row(d) for d in embedded.tolist()]])
+        all_idx, _ = face_indices(self.m, self.degree, face)
+        return BezierSimplex(len(face), self.degree, self.points[[self.index_row(d) for d in all_idx]])
 
     def elevate(self) -> "BezierSimplex":
         """Equivalent model of degree + 1 (exact re-expression, same map)."""
@@ -522,8 +516,14 @@ class BezierSimplex:
         control point that is not a vector of finite numbers."""
         m, degree, ambient = (integer_field(data, name) for name in ("M", "D", "A"))
         entries = {tuple(e["index"]): e["point"] for e in data["control_points"]}
-        idx = multi_indices(m, degree)
-        if set(entries) != set(idx):
+        n = len(data["control_points"])
+        # count before building the table: it has C(M - 1 + D, k) >= 2^k rows,
+        # so a k past n's bit length cannot match. With the count right, a
+        # repeated index leaves another out; for k < 0 multi_indices names the
+        # M below 1 or the negative D
+        k = min(m - 1, degree)
+        counted = k < 0 or (k < n.bit_length() and math.comb(m - 1 + degree, k) == n)
+        if not counted or set(entries) != set(idx := multi_indices(m, degree)):
             raise InvalidIndexError("control point index set is incomplete or has extras")
         rows = []
         for d in idx:

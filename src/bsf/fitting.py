@@ -9,18 +9,19 @@ Two fitting strategies share one alternating loop:
 
 The loop takes a batch of independent fits and advances them in lockstep.
 Above it, `fit_lockstep` runs several requests, skeleton or all-at-once,
-stage by stage in ascending m: a stage batches every face of one
-cardinality of each skeleton with each all-at-once fit of that m, so the
+stage by stage in ascending m: a stage is one batch of every face of one
+cardinality of each skeleton and each all-at-once fit of that m, so the
 methods of one trial share their projection calls. Each public fitter is a
 `fit_lockstep` batch of one. The batch loop only computes: if anything in
 it raises, each of its fits runs again alone, so an error stays with the
-fit that raised it. The parameter update is a constrained Newton iteration
-on the squared distance, with the last barycentric coordinate eliminated
-and iterates clamped back onto the simplex. One call runs it on the
-samples of every fit still in the batch at once, but its stopping rules and
-its gradient fallback apply to each sample on its own, and each sample
-meets only its own fit's control net. There is one projection path: a lone
-fit, or a projection of one model outside the loop, is a batch of one. The
+fit that raised it, and a stage mixing ambient dimensions runs each fit
+alone. The parameter update is a constrained Newton iteration on the
+squared distance, with the last barycentric coordinate eliminated and
+iterates clamped back onto the simplex. One call runs it on the samples of
+every fit still in the batch at once, but its stopping rules and its
+gradient fallback apply to each sample on its own, and each sample meets
+only its own fit's control net. There is one projection path: a lone fit,
+or a projection of one model outside the loop, is a batch of one. The
 control-point update is an exact linear least-squares solve per fit, so the
 per-iteration loss never increases. Each fit stops on its own test and
 leaves the batch; its results are bit-identical to fitting it alone.
@@ -346,8 +347,8 @@ def sse(model: BezierSimplex, X, T) -> float:
 
 
 def _alternate(fits, cfg: FitConfig) -> list:
-    """Shared alternating loop over a batch of independent fits that share m,
-    degree and ambient dimension, advanced in lockstep.
+    """Shared alternating loop over a batch of independent fits of one m and
+    degree, advanced in lockstep.
 
     Each fit is (model, X, free indices). Each outer iteration projects the
     parameters of every running fit in one project_parameter call, then
@@ -362,7 +363,8 @@ def _alternate(fits, cfg: FitConfig) -> list:
     again alone, in order, and keeps its own result or its own error; a
     batch of one returns its error. So one failing fit reruns its whole
     batch one fit at a time, and the larger the batch (every fit of one m
-    and ambient dimension that fit_lockstep was given), the more that costs.
+    that fit_lockstep was given), the more that costs. A batch mixing ambient
+    dimensions fails its first projection, so it runs each fit alone.
     """
     try:
         return _run_batch(fits, cfg)
@@ -489,10 +491,10 @@ def fit_lockstep(requests, cfg: FitConfig) -> list:
     ("all-at-once", union sample, corner points). Each is a sequence of
     stages, each stage a batch of fits of one m: the skeleton has one per
     face cardinality up to min(degree, M), all-at-once one at m = M. Stages
-    run in ascending m, and the fits of every request waiting at the same m
-    and ambient dimension run as one `_alternate` batch. Each request gets
-    the result, log lines and error that fit_inductive_skeleton or
-    fit_all_at_once give it alone.
+    run in ascending m, and the fits of every request waiting at the least m
+    run as one `_alternate` batch, in request order; one that mixes ambient
+    dimensions runs each fit alone. Each request gets the result, log lines
+    and error that fit_inductive_skeleton or fit_all_at_once give it alone.
     """
     stages = [_STAGES[kind](data, corners, cfg) for kind, data, corners in requests]
     out: list = [None] * len(stages)
@@ -510,18 +512,10 @@ def fit_lockstep(requests, cfg: FitConfig) -> list:
         advance(r, None)
     while waiting:
         m = min(fits[0][0].m for fits in waiting.values())
-        now = sorted(r for r, fits in waiting.items() if fits[0][0].m == m)
-        now = {r: waiting.pop(r) for r in now}
-        outcomes = {r: [None] * len(fits) for r, fits in now.items()}
-        groups: dict[int, list] = {}  # ambient dimension -> (request, fit index, fit)
+        now = {r: waiting.pop(r) for r in sorted(waiting) if waiting[r][0][0].m == m}
+        outcomes = iter(_alternate([fit for fits in now.values() for fit in fits], cfg))
         for r, fits in now.items():
-            for j, fit in enumerate(fits):
-                groups.setdefault(fit[0].ambient, []).append((r, j, fit))
-        for group in groups.values():
-            for (r, j, _), outcome in zip(group, _alternate([fit for *_, fit in group], cfg)):
-                outcomes[r][j] = outcome
-        for r, done in outcomes.items():
-            advance(r, done)
+            advance(r, [next(outcomes) for _ in fits])
     return out
 
 

@@ -14,6 +14,7 @@ from .pareto import normalizer_from
 
 PANEL = 220
 MARGIN = 40
+PER_ROW = 3  # scatter panels per row
 PALETTE = ("#444444", "#d62728", "#1f77b4", "#2ca02c", "#9467bd")
 
 
@@ -28,7 +29,7 @@ def _panel_points(points, lo, span, ox, oy):
     return x, y
 
 
-def scatter_svg(series: list[tuple[str, np.ndarray]], per_row: int = 3) -> str:
+def scatter_svg(series: list[tuple[str, np.ndarray]]) -> str:
     """One panel per objective pair, every named point set overlaid.
 
     All sets must share the same dimension; a one-dimensional input is not
@@ -41,7 +42,7 @@ def scatter_svg(series: list[tuple[str, np.ndarray]], per_row: int = 3) -> str:
     if m < 2:
         raise ValueError("need at least two coordinates to scatter")
     pairs = list(combinations(range(m), 2))
-    n_cols = min(per_row, len(pairs))
+    n_cols = min(PER_ROW, len(pairs))
     n_rows = (len(pairs) + n_cols - 1) // n_cols
     width = MARGIN + n_cols * (PANEL + MARGIN)
     height = MARGIN + n_rows * (PANEL + MARGIN)

@@ -113,12 +113,14 @@ class ResponseSurface:
         m = integer_field(data, "M")
         if m < 2:
             raise ParseError(f"response surface: M is {m}, need at least 2")
-        exponents = cubic_basis_exponents(m - 1)
         try:
             given = [list(e) for e in data["exponents"]]
         except TypeError:
             given = None
-        if given != [list(e) for e in exponents]:
+        # count the terms, 1 + 2n + n(n + 1)/2 for n = M - 1, before building the basis
+        counted = given is not None and len(given) == 1 + 2 * (m - 1) + (m - 1) * m // 2
+        exponents = cubic_basis_exponents(m - 1) if counted else ()
+        if not counted or given != [list(e) for e in exponents]:
             raise ParseError(f"response surface: exponents are not the reduced-cubic basis of {m - 1} inputs")
         fields = {}
         for name, size in (("coefficients", len(exponents)), ("lo", m), ("span", m)):

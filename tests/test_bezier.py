@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bsf import bezier
 from bsf.bezier import (
     BezierSimplex,
     as_barycentric,
@@ -390,6 +391,27 @@ def test_face_indices_rejects_empty():
         face_indices(3, 3, ())
 
 
+def reference_face_indices(m, degree, face):
+    """The support scan over every parent index that face_indices replaced."""
+    fset = set(face)
+    all_idx, interior = [], []
+    for d in multi_indices(m, degree):
+        support = {i for i, di in enumerate(d) if di > 0}
+        if support <= fset:
+            all_idx.append(d)
+            if support == fset:
+                interior.append(d)
+    return tuple(all_idx), tuple(interior)
+
+
+def test_face_indices_match_the_support_scan():
+    for m in range(1, 8):
+        faces = [face for k in range(1, m + 1) for face in itertools.combinations(range(m), k)]
+        for degree in range(6):
+            for face in faces:
+                assert face_indices(m, degree, face) == reference_face_indices(m, degree, face)
+
+
 def test_restrict_vertex_face_is_constant():
     model = random_model(9, m=4, degree=3)
     sub = model.restrict((2,))
@@ -508,6 +530,35 @@ def test_from_dict_rejects_points_of_the_wrong_dimension():
     data = random_model(16, m=2, degree=2, ambient=2).to_dict()
     data["control_points"][1]["point"].append(1.0)
     with pytest.raises(DimensionError, match="points have dimension"):
+        BezierSimplex.from_dict(data)
+
+
+# M 8, D 20 has an 888,030-row table; at M 1,000,001, D 1,000,000 the
+# binomial alone took 38 s to compute, so the count stops once past the entries
+@pytest.mark.parametrize("m, degree", [(8, 20), (10**6 + 1, 10**6), (1, 10**9), (10**9, 1)])
+def test_from_dict_counts_the_entries_before_building_the_index_table(monkeypatch, m, degree):
+    data = random_model(19, m=2, degree=1, ambient=2).to_dict()
+    data.update(M=m, D=degree)
+
+    def never(*args):
+        raise AssertionError("built an index table")
+
+    monkeypatch.setattr(bezier, "multi_indices", never)
+    monkeypatch.setattr(bezier, "compositions", never)
+    with pytest.raises(InvalidIndexError, match="^control point index set is incomplete or has extras$"):
+        BezierSimplex.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "m, degree, error, message",
+    [(0, 2, DimensionError, "need at least one barycentric coordinate, got m=0"),
+     (3, -1, InvalidIndexError, "degree must be nonnegative, got -1"),
+     (0, -1, InvalidIndexError, "degree must be nonnegative, got -1")],
+)
+def test_from_dict_keeps_the_header_messages(m, degree, error, message):
+    data = random_model(20, m=2, degree=1, ambient=2).to_dict()
+    data.update(M=m, D=degree)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         BezierSimplex.from_dict(data)
 
 

@@ -388,6 +388,18 @@ def test_evaluate_rejects_malformed_response_surface(tmp_path, capsys, edit, fie
     assert capsys.readouterr() == ("", f"error: {path}: {info.value}\n")
 
 
+def test_evaluate_rejects_a_repeated_control_point(tmp_path, capsys):
+    # a degree-2 curve listing [1, 1] twice: the second point must not be scored
+    data = initialize_control_net(np.eye(2), 2).to_dict()
+    data["control_points"].append({"index": [1, 1], "point": [3.0, -4.0]})
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    val = tmp_path / "v.csv"
+    save_sample(SampleSet(np.random.default_rng(15).uniform(size=(10, 2))), val)
+    assert run_cli("evaluate", "--model", path, "--validation", val) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: control point index set is incomplete or has extras\n")
+
+
 @pytest.mark.parametrize(
     "kind, field",
     [pytest.param("bezier", f, id=f"bezier-{f}") for f in ("M", "D", "A", "control_points")]

@@ -566,6 +566,20 @@ def test_lockstep_keeps_each_error_with_its_request():
     assert fit_lockstep([], cfg) == []
 
 
+def test_a_stage_of_two_ambient_dimensions_gives_each_request_its_lone_fit():
+    # med3 (1, 2, 3), graph-shaped and plain: every stage holds fits in two
+    # ambient dimensions, which one projection call rejects, so each fit
+    # runs alone and keeps its bits
+    cfg = FitConfig(degree=3)
+    requests = []
+    for graph in (True, False):
+        training, union, V = trial_data("med3", (1, 2, 3), seed=5, graph=graph)
+        requests += [("inductive", training, V), ("all-at-once", union, V)]
+    assert len({V.shape[1] for *_, V in requests}) == 2
+    for (kind, data, V), outcome in zip(requests, fit_lockstep(requests, cfg)):
+        assert_same_outcome(outcome, alone(kind, data, V, cfg))
+
+
 def _failing_on(n_points, monkeypatch):
     """Make project_parameter raise whenever one of its blocks has n_points rows."""
     original = fitting.project_parameter

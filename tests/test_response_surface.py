@@ -207,6 +207,18 @@ def test_load_names_the_file_it_cannot_read(tmp_path, edit, reason):
         ResponseSurface.load(path)
 
 
+def test_from_dict_counts_the_terms_before_building_the_basis(monkeypatch):
+    from bsf import response_surface
+
+    def never(n_inputs):
+        raise AssertionError("built the basis")
+
+    monkeypatch.setattr(response_surface, "cubic_basis_exponents", never)
+    data = {"type": "response-surface", "M": 200, "exponents": [], "coefficients": [], "lo": [], "span": []}
+    with pytest.raises(ParseError, match="^response surface: exponents are not the reduced-cubic basis of 199 inputs$"):
+        ResponseSurface.from_dict(data)
+
+
 def test_degenerate_range_does_not_divide_by_zero():
     S = SampleSet([[1.0, 5.0, 2.0], [2.0, 5.0, 3.0], [3.0, 5.0, 1.0]])
     surface = fit_response_surface(S)

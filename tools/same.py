@@ -20,8 +20,9 @@ constrex, a three-method N3 sweep); `generate`, `fit`, `evaluate` and `plot` on 
 `generate --graph`, `fit` and `evaluate` on med3, the model scored against
 its own validation set with solution columns; an experiment on a
 one-objective sample file, where the response surface fails every trial;
-and malformed-input probes (bad manifests, model headers and tolerances),
-whose standard error is compared too.
+and malformed-input probes (bad manifests, model headers, a model that
+lists a control point twice, and tolerances), whose standard error is
+compared too.
 """
 
 from __future__ import annotations
@@ -92,6 +93,16 @@ def _edit_results(name, edit):
     def prepare(work: Path):
         header, row, *_ = (work / "wl/med3-table-3/results.csv").read_text().splitlines()
         (work / "probes" / name).write_text(f"{header}\n{edit(row)}\n")
+    return prepare
+
+
+def _repeat_first_point(name):
+    """med5's inductive model with its first control point listed again, moved."""
+    def prepare(work: Path):
+        data = json.loads((work / "med5/model-inductive.json").read_text())
+        first = data["control_points"][0]
+        data["control_points"].append({**first, "point": [v + 1.0 for v in first["point"]]})
+        (work / "probes" / name).write_text(json.dumps(data))
     return prepare
 
 
@@ -180,6 +191,12 @@ def steps() -> list[Step]:
          _edit_json("med5/model-inductive.json", "bezier-fraction-A.json", A=2.5)),
         ("surface-string-M", _evaluate("probes/surface-string-M.json"),
          _edit_json("med5/model-response-surface.json", "surface-string-M.json", M="3")),
+        ("bezier-repeated-point", _evaluate("probes/bezier-repeated-point.json"),
+         _repeat_first_point("bezier-repeated-point.json")),
+        # a table of C(27, 7) = 888,030 rows that one entry cannot fill
+        ("bezier-M8-D20", _evaluate("probes/bezier-M8-D20.json"),
+         _edit_json("med5/model-inductive.json", "bezier-M8-D20.json", M=8, D=20,
+                    control_points=[{"index": [20] + [0] * 7, "point": [0.0] * 5}])),
         ("model-not-json", _evaluate("probes/model-not-json.json"), _write("model-not-json.json", b"nope\n")),
         ("validation-not-utf8", _evaluate("med5/model-inductive.json", validation="probes/bad.csv"),
          _write("bad.csv", b"f1,f2,f3,f4,f5\n1,2,3,4,\xff\n")),
