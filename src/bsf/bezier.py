@@ -1,9 +1,9 @@
 """Bezier simplex algebra.
 
 Multi-index combinatorics, multinomial Bernstein monomials, model evaluation
-with analytic first and second derivatives, face restriction and degree
-elevation. Everything here is pure and immutable; the fitting code treats this
-module as its linear-algebra substrate.
+with analytic first and second derivatives and face restriction. Everything
+here is pure and immutable; the fitting code treats this module as its
+linear-algebra substrate.
 
 A model of degree D over the standard simplex in R^m is determined by one
 control point per composition d of D into m nonnegative parts:
@@ -66,18 +66,25 @@ def compositions(m: int, total: int) -> np.ndarray:
     if total < 0:
         raise InvalidIndexError(f"total must be nonnegative, got {total}")
     dtype = np.min_scalar_type(total)
+    k = min(m - 1, total)  # the table has C(total + m - 1, k) >= 2^k rows, too many from k = 64
+    try:  # first, so that a table too large to hold fails before any work
+        table = np.empty((math.comb(total + m - 1, k) if k < 64 else 2**64, m), dtype=dtype)
+    except ValueError as exc:  # beyond any array numpy can address
+        raise MemoryError(str(exc)) from None
     # `stack` holds the compositions of 0, 1, ..., total into k parts, block
     # after block, and `counts` each block's size. Those of s into k + 1 parts
     # are h = s, s - 1, ..., 0, each put before the compositions of s - h into
     # k parts: the stack's first s + 1 blocks, block j after h = s - j. The
-    # last part count needs s = total alone.
+    # last part count needs s = total alone, and fills the table.
     stack = np.arange(total + 1, dtype=dtype)[:, None]
     counts = np.ones(total + 1, dtype=np.intp)
+    if m == 1:
+        table[0] = total
     for k in range(1, m):
         ends = np.cumsum(counts)
         block = np.repeat(np.arange(total + 1), counts)
         sums = range(total + 1) if k + 1 < m else [total]
-        out = np.empty((sum(int(ends[s]) for s in sums), k + 1), dtype=dtype)
+        out = table if k + 1 == m else np.empty((int(ends.sum()), k + 1), dtype=dtype)
         lo = 0
         for s in sums:
             hi = lo + ends[s]
@@ -85,7 +92,6 @@ def compositions(m: int, total: int) -> np.ndarray:
             out[lo:hi, 1:] = stack[:ends[s]]
             lo = hi
         stack, counts = out, ends
-    table = stack[-1:] if m == 1 else stack
     table.setflags(write=False)
     return table
 
@@ -255,7 +261,7 @@ def _shift_rows(m: int, degree: int, order: int) -> np.ndarray:
     return table
 
 
-def partial_derivatives(m: int, degree: int, points, T, order: int, bounds=None) -> np.ndarray:
+def partial_derivatives(m: int, degree: int, points, T, order: int) -> np.ndarray:
     """Partial derivatives of one order of the model at every row of T.
 
     Returns shape (n, ambient) + (m,) * order; order 0 is the value itself.
@@ -268,19 +274,12 @@ def partial_derivatives(m: int, degree: int, points, T, order: int, bounds=None)
     (Farin, Curves and Surfaces for CAGD). Orders above the degree vanish.
     Rows of T are used as given, without barycentric validation.
 
-    `points` is a stack of nets (F, K, ambient) with `bounds`, F + 1 sorted
-    row numbers: net f serves rows bounds[f]:bounds[f+1]. One net (K,
-    ambient) without `bounds` is a stack of one over all rows. One design
-    matrix serves every row, and each non-empty run takes one product with
-    its shifted net, so each run gets the bits of a one-net call on its rows
-    alone. This is `shifted_nets` and then `derivatives_on_runs`; a caller
-    that needs one order of the same nets many times builds them once.
+    This is `shifted_nets` and then `derivatives_on_runs` for one net (K,
+    ambient); a stack of nets, or nets reused across calls, take that pair.
     """
     T = np.asarray(T, dtype=float)
-    if bounds is None:
-        points, bounds = np.asarray(points, dtype=float)[None], [0, T.shape[0]]
-    nets = shifted_nets(m, degree, points, order)
-    return derivatives_on_runs(m, degree, nets, T, order, np.asarray(bounds).tolist())
+    nets = shifted_nets(m, degree, np.asarray(points, dtype=float)[None], order)
+    return derivatives_on_runs(m, degree, nets, T, order, [0, T.shape[0]])
 
 
 def shifted_nets(m: int, degree: int, points, order: int) -> np.ndarray:
@@ -301,7 +300,9 @@ def derivatives_on_runs(m: int, degree: int, nets: np.ndarray, T: np.ndarray, or
                         bounds: list) -> np.ndarray:
     """`partial_derivatives` of one order from its `shifted_nets`: T is a
     float array of rows, and `bounds` a list of F + 1 sorted row numbers, net
-    f serving rows bounds[f]:bounds[f+1]."""
+    f serving rows bounds[f]:bounds[f+1]. One design matrix serves every row,
+    and each non-empty run takes one product with its net, so each run gets
+    the bits of `partial_derivatives` on its rows alone."""
     n = T.shape[0]
     if order > degree:
         out = np.zeros((n, nets.shape[-1]))
@@ -484,18 +485,6 @@ class BezierSimplex:
         face = _check_face(face, self.m)
         all_idx, _ = face_indices(self.m, self.degree, face)
         return BezierSimplex(len(face), self.degree, self.points[[self.index_row(d) for d in all_idx]])
-
-    def elevate(self) -> "BezierSimplex":
-        """Equivalent model of degree + 1 (exact re-expression, same map)."""
-        new_degree = self.degree + 1
-        new_idx = multi_indices(self.m, new_degree)
-        pts = np.zeros((len(new_idx), self.ambient))
-        for r, e in enumerate(new_idx):
-            for j, ej in enumerate(e):
-                if ej > 0:
-                    lower = e[:j] + (ej - 1,) + e[j + 1:]
-                    pts[r] += (ej / new_degree) * self.points[self.index_row(lower)]
-        return BezierSimplex(self.m, new_degree, pts)
 
     # -- serialization ------------------------------------------------------
 

@@ -29,7 +29,6 @@ from .harness import (
     run_experiment,
     run_sweep,
     score,
-    surface_points,
     surface_rows,
     vertex_optima_from,
     write_rows,
@@ -357,7 +356,7 @@ def cmd_plot(args) -> int:
         for path, kind in inputs:
             if kind == "model":
                 model = _load_model_file(path)
-                series.append((f"model:{path.stem}", surface_points(model, args.resolution)))
+                series.append((f"model:{path.stem}", surface_rows(model, args.resolution).collect()))
             else:
                 series.append((path.stem, load_sample(path).objectives))
         out.write_text(plotting.scatter_svg(series))
@@ -397,7 +396,7 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
-    except BsfError as exc:
+    except (BsfError, MemoryError) as exc:  # numpy names the allocation it refused
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - last resort

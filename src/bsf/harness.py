@@ -120,11 +120,6 @@ def surface_rows(model, resolution: int) -> RowSource:
     return grid_rows(model, resolution)
 
 
-def surface_points(model, resolution: int) -> np.ndarray:
-    """`surface_rows` collected into one array."""
-    return surface_rows(model, resolution).collect()
-
-
 def score(sample, validation_points: np.ndarray, normalize: bool):
     """GD/IGD of a sample (points or a RowSource) against a validation set,
     both first min-max normalized by the validation ranges when `normalize`,

@@ -52,9 +52,6 @@ class SampleSet:
     def l(self) -> int | None:
         return None if self.solutions is None else self.solutions.shape[1]
 
-    def __len__(self) -> int:
-        return self.n
-
     def ambient(self) -> np.ndarray:
         """Fitting-space coordinates: (solution, objectives) pairs when
         solutions are present, plain objectives otherwise."""

@@ -11,13 +11,17 @@ from bsf import bezier
 from bsf.bezier import (
     BezierSimplex,
     as_barycentric,
+    as_barycentric_rows,
+    barycentric_grid,
     compositions,
+    derivatives_on_runs,
     embed_on_face,
     face_indices,
     monomials,
     multi_indices,
     multinomial,
     partial_derivatives,
+    shifted_nets,
     weighted_design_matrix,
 )
 from bsf.errors import (
@@ -138,6 +142,18 @@ def test_compositions_is_one_read_only_table():
         table[0, 0] = 1
 
 
+# numpy refuses the first; the second is past any array numpy can address; the
+# third's row count, C(2 * 10^6, 10^6), is not worked out
+@pytest.mark.parametrize("m, total", [(3, 10**8), (5, 10**5), (10**6 + 1, 10**6)])
+def test_a_table_too_large_to_hold_fails_before_any_work(monkeypatch, m, total):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the table was being built")
+
+    monkeypatch.setattr(np, "cumsum", no_work)
+    with pytest.raises(MemoryError):
+        compositions(m, total)
+
+
 def test_two_models_grids_build_the_table_once():
     rng = np.random.default_rng(5)
     models = [BezierSimplex(3, d, rng.normal(size=(len(multi_indices(3, d)), 2))) for d in (2, 3)]
@@ -147,6 +163,40 @@ def test_two_models_grids_build_the_table_once():
     grids = [grid_rows(model, 17).collect() for model in models]
     assert compositions.cache_info().misses == 1
     assert [g.shape for g in grids] == [(171, 2), (171, 2)]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: compositions(3, -1), InvalidIndexError,
+                     "total must be nonnegative, got -1", id="negative-total"),
+        pytest.param(lambda: barycentric_grid(3, 0), ValueError,
+                     "resolution must be at least 1", id="grid-resolution-0"),
+        pytest.param(lambda: multinomial(2, (3, -1)), InvalidIndexError,
+                     "negative entry in multi-index (3, -1)", id="negative-entry"),
+        pytest.param(lambda: as_barycentric_rows(np.full((2, 2, 2), 0.5)), DimensionError,
+                     "expected a 2-d array of coordinates, got shape (2, 2, 2)", id="3-d-coordinates"),
+        pytest.param(lambda: as_barycentric_rows([[np.nan, 1.0]]), BarycentricError,
+                     "non-finite barycentric coordinates", id="nan-coordinate"),
+        pytest.param(lambda: face_indices(3, 2, (0, 3)), FaceError,
+                     "face (0, 3) out of range for m=3", id="face-past-m"),
+        pytest.param(lambda: BezierSimplex(0, 1, [[1.0]]), DimensionError,
+                     "need at least one barycentric coordinate, got m=0", id="model-m-0"),
+        pytest.param(lambda: BezierSimplex(2, -1, [[1.0]]), InvalidIndexError,
+                     "degree must be nonnegative, got -1", id="model-negative-degree"),
+        pytest.param(lambda: BezierSimplex(2, 1, [1.0, 2.0]), DimensionError,
+                     "control points must be a 2-d array, got shape (2,)", id="model-1-d-points"),
+        pytest.param(lambda: BezierSimplex(2, 1, np.zeros((3, 1))), DimensionError,
+                     "expected 2 control points for m=2, degree=1, got 3", id="model-point-count"),
+        pytest.param(lambda: BezierSimplex(2, 1, np.zeros((2, 0))), DimensionError,
+                     "ambient dimension must be at least 1", id="model-no-ambient"),
+        pytest.param(lambda: BezierSimplex(2, 1, np.eye(2)).index_row((2, 0)), InvalidIndexError,
+                     "(2, 0) is not a degree-1 index over 2 coordinates", id="foreign-index"),
+    ],
+)
+def test_checks_name_what_is_wrong(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- multinomial ------------------------------------------------------------------
@@ -350,7 +400,7 @@ def test_stacked_partial_derivatives_keep_each_runs_bits(seed, m, degree, order,
     P = rng.normal(size=(len(counts), len(multi_indices(m, degree)), ambient))
     T = rng.dirichlet(np.ones(m), size=sum(counts))
     bounds = np.cumsum([0] + counts).tolist()
-    got = partial_derivatives(m, degree, P, T, order, bounds=bounds)
+    got = derivatives_on_runs(m, degree, shifted_nets(m, degree, P, order), T, order, bounds)
     assert got.shape == (T.shape[0], ambient) + (m,) * order
     for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         alone = partial_derivatives(m, degree, P[f], T[lo:hi], order)
@@ -449,21 +499,6 @@ def test_restriction_commutes_on_random_models(seed):
     s = rng.dirichlet(np.ones(len(face)))
     lhs = model.evaluate(embed_on_face(s, face, m))
     assert np.max(np.abs(lhs - sub.evaluate(s))) <= 1e-12
-
-
-# -- degree elevation ----------------------------------------------------------------
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000))
-def test_degree_nesting_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    model = random_model(seed, degree=int(rng.integers(1, 4)))
-    elevated = model.elevate()
-    assert elevated.degree == model.degree + 1
-    for _ in range(100):
-        t = rng.dirichlet(np.ones(model.m))
-        assert np.max(np.abs(elevated.evaluate(t) - model.evaluate(t))) <= 1e-10
 
 
 # -- serialization --------------------------------------------------------------------

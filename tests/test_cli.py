@@ -267,7 +267,7 @@ def test_evaluate_normalized_response_surface_equals_harness_score(tmp_path, cap
 
 def test_evaluate_graph_model_scores_its_validation_with_solutions(tmp_path, capsys):
     # a --graph model lives in objective-and-solution space, as do the x columns
-    from bsf.harness import score, surface_points
+    from bsf.harness import score, surface_rows
 
     data, path = tmp_path / "data", tmp_path / "model.json"
     assert run_cli("generate", "--problem", "med3", "--sizes", "1,2,1", "--seed", "4",
@@ -278,7 +278,7 @@ def test_evaluate_graph_model_scores_its_validation_with_solutions(tmp_path, cap
     assert run_cli("evaluate", "--model", path, "--validation", val, "--resolution", "9") == 0
     model, validation = BezierSimplex.load(path), load_sample(val)
     assert (model.ambient, validation.m, validation.l) == (6, 3, 3)
-    expected = score(surface_points(model, 9), validation.ambient(), True)
+    expected = score(surface_rows(model, 9).collect(), validation.ambient(), True)
     assert parse_scores(capsys.readouterr().out) == expected
 
 
@@ -1036,6 +1036,64 @@ def test_experiment_sweep_on_two_objectives_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def _check_inputs(directory):
+    """A med3 Bezier model, a three-objective response surface, a
+    three-objective validation sample, a one-objective sample and a JSON
+    object that is neither model."""
+    initialize_control_net(np.eye(3), 2).save(directory / "bezier.json")
+    (directory / "surface.json").write_text(json.dumps(_fit_surface_dict()))
+    save_sample(SampleSet(np.random.default_rng(16).uniform(size=(10, 3))), directory / "v.csv")
+    save_sample(SampleSet(np.linspace(0.1, 0.9, 5)[:, None]), directory / "one.csv")
+    (directory / "neither.json").write_text(json.dumps({"type": "other"}))
+
+
+MED3_INDUCTIVE = ("experiment", "--problem", "med3", "--method", "inductive", "--out", "out")
+
+
+@pytest.mark.parametrize(
+    "args, last",
+    [
+        pytest.param((*MED3_INDUCTIVE, "--sizes", "1,x"),
+                     "bsf experiment: error: argument --sizes: sizes must be integers like 1,2,1 (got '1,x')",
+                     id="sizes-not-integers"),
+        pytest.param((*MED3_INDUCTIVE, "--trials", "0"), "error: trials must be at least 1", id="trials-0"),
+        pytest.param((*MED3_INDUCTIVE, "--method", "bogus"),
+                     "error: unknown methods ['bogus']; valid: inductive, all-at-once, response-surface",
+                     id="unknown-method"),
+        pytest.param((*MED3_INDUCTIVE, "--sizes", "1", "--sweep-n3", "1:2"),
+                     "error: a sweep over N3 needs sizes (N1, N2, ...)", id="sweep-without-n2"),
+        pytest.param(("experiment", "--problem", "medM:1", "--method", "inductive", "--sizes", "1",
+                      "--out", "out"),
+                     "error: the MED family needs at least two objectives", id="med-one-objective"),
+        pytest.param(("evaluate", "--model", "neither.json", "--validation", "v.csv"),
+                     "error: neither.json: not a recognized model file", id="neither-model"),
+        pytest.param(("evaluate", "--model", "bezier.json", "--validation", "v.csv", "--resolution", "0"),
+                     "error: resolution must be at least 1", id="bezier-resolution-0"),
+        pytest.param(("evaluate", "--model", "surface.json", "--validation", "v.csv", "--resolution", "0"),
+                     "error: resolution must be at least 1", id="surface-resolution-0"),
+        pytest.param(("plot", "one.csv", "--out", "p.svg"),
+                     "error: need at least two coordinates to scatter", id="plot-one-objective"),
+        pytest.param(("plot", "bezier.json", "one.csv", "--out", "p.svg"),
+                     "error: all point sets must share a dimension", id="plot-mixed-dimensions"),
+    ],
+)
+def test_input_checks_exit_2_with_their_message(tmp_path, capsys, monkeypatch, args, last):
+    _check_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*args) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == last
+
+
+def test_evaluate_a_grid_numpy_cannot_allocate_is_one_line(tmp_path, capsys, caplog):
+    # compositions(3, 10**8) asks for its whole 53.3 PiB table first, which numpy refuses at once
+    _check_inputs(tmp_path)
+    args = ("--model", tmp_path / "bezier.json", "--validation", tmp_path / "v.csv", "--resolution", 10**8)
+    assert run_cli("evaluate", *args) == 1
+    assert capsys.readouterr() == ("", "error: Unable to allocate 53.3 PiB for an array with shape "
+                                       "(5000000150000001, 3) and data type uint32\n")
+    assert not caplog.records  # no "unhandled failure" and no traceback
+
+
 def _front_files(tmp_path):
     """One med3 front sample twice: with solution columns and without."""
     assert run_cli(
@@ -1118,6 +1176,15 @@ def test_experiment_sweep_replaces_only_n3(tmp_path):
     assert read_all(tmp_path / "sweep") == read_all(tmp_path / "plain")
     with (tmp_path / "sweep" / "results.csv").open() as fh:
         assert [r["sizes"] for r in csv.DictReader(fh)] == ["1-2-3-4"]
+
+
+def test_experiment_sweep_from_n3_zero_fits_without_triangles(tmp_path):
+    out = tmp_path / "sweep"
+    assert run_cli("experiment", "--problem", "med5", "--method", "inductive", "--sizes", "1,2,1",
+                   "--sweep-n3", "0:1", "--trials", "2", "--out", out) == 0
+    with (out / "results.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["sizes"], r["error"]) for r in rows] == [("1-2-0", "")] * 2 + [("1-2-1", "")] * 2
 
 
 def test_experiment_reads_a_file_problem_once(tmp_path, monkeypatch):

@@ -49,6 +49,19 @@ def test_config_rejects_tolerances_that_are_not_positive(field, value):
         FitConfig(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("max_outer_iters", "iteration caps must be at least 1"),
+        ("max_newton_iters", "iteration caps must be at least 1"),
+        ("init_grid_resolution", "init grid resolution must be at least 1"),
+    ],
+)
+def test_config_rejects_counts_below_one(field, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FitConfig(**{field: 0})
+
+
 def test_init_net_m2_grid_formula():
     a, b = np.array([1.0, 0.0]), np.array([0.0, 3.0])
     net = initialize_control_net([a, b], 3)
@@ -332,6 +345,19 @@ def test_solve_empty_sample_raises():
         solve_control_points(np.empty((0, 2)), np.empty((0, 2)), model, set(model.indices))
 
 
+@pytest.mark.parametrize(
+    "free, n_params, message",
+    [
+        ({(3, 0)}, 3, r"^free indices not in the model: \[\(3, 0\)\]$"),
+        ({(1, 1)}, 2, "^samples and parameters disagree in count$"),
+    ],
+)
+def test_solve_rejects_what_does_not_fit_the_model(free, n_params, message):
+    model = initialize_control_net(np.eye(2), 2)
+    with pytest.raises(DimensionError, match=message):
+        solve_control_points(np.ones((3, 2)), np.full((n_params, 2), 0.5), model, free)
+
+
 def test_solve_keeps_fixed_rows_bit_identical():
     rng = np.random.default_rng(8)
     model = perturbed_net(3, 3, np.eye(3), 0.1, seed=8)
@@ -357,6 +383,12 @@ def test_sse_zero_on_exact_preimages():
 def test_sse_distance_squared():
     model = BezierSimplex(1, 0, np.array([[0.0, 0.0]]))
     assert sse(model, np.array([[0.0, 2.0]]), np.array([[1.0]])) == pytest.approx(4.0)
+
+
+def test_sse_rejects_a_count_mismatch():
+    model = initialize_control_net(np.eye(2), 2)
+    with pytest.raises(DimensionError, match="^samples and parameters disagree in count$"):
+        sse(model, np.ones((3, 2)), np.full((2, 2), 0.5))
 
 
 def test_sse_matches_naive_recomputation():
@@ -401,6 +433,12 @@ def test_all_at_once_single_vertex_sample_stops_immediately():
     res = fit_all_at_once(S, V, FitConfig())
     assert res.outer_iterations == 1
     assert res.ssr_trace[-1] <= 1e-20
+
+
+def test_all_at_once_rejects_corners_in_another_space():
+    S = SampleSet(np.random.default_rng(14).uniform(size=(5, 2)))
+    with pytest.raises(DimensionError, match=r"^corner points live in R\^3 but samples in R\^2$"):
+        fit_all_at_once(S, np.zeros((2, 3)), FitConfig())
 
 
 def test_all_at_once_ssr_trace_monotone():

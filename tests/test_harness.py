@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bsf.harness as harness
+from bsf.fitting import FitConfig, fit_inductive_skeleton
 from bsf.harness import (
     ExperimentConfig,
     TrialRow,
@@ -23,8 +24,8 @@ from bsf.harness import (
     write_summary,
 )
 from bsf.metrics import gd_igd
-from bsf.pareto import normalizer_from
-from bsf.problems import get_problem, make_training_set
+from bsf.pareto import SampleSet, normalizer_from
+from bsf.problems import FileProblem, get_problem, make_training_set
 
 CFG = ExperimentConfig(
     "med3", ("inductive", "all-at-once"), trials=4, seed=0, validation_size=200
@@ -115,6 +116,13 @@ def test_u_test_requires_exactly_two_methods(med3_rows):
     assert 0.0 <= out["gd"]["p"] <= 1.0
 
 
+def test_u_test_needs_a_success_of_each_method(med3_rows):
+    failed = [
+        replace(r, gd=None, igd=None, error="boom") if r.method == "all-at-once" else r for r in med3_rows
+    ]
+    assert u_tests(failed, ("inductive", "all-at-once")) is None
+
+
 def test_rows_csv_round_trip(med3_rows, tmp_path):
     path = tmp_path / "rows.csv"
     write_rows(med3_rows, path)
@@ -142,6 +150,20 @@ def test_vertex_optima_orders_by_objective():
     assert V.shape == (3, 3)
     for j in range(3):
         assert V[j, j] == 0.0
+
+
+@pytest.mark.parametrize("source", ["med3", "viennet2", "file"])
+def test_edges_of_size_zero_are_left_out_and_reported_empty(source):
+    if source == "file":
+        X = np.vstack([np.eye(3), np.random.default_rng(10).dirichlet(np.ones(3), size=40)])
+        problem = FileProblem("front", SampleSet(get_problem("med3").objectives(X)))
+    else:
+        problem = get_problem(source)
+    training, _ = make_training_set(problem, (1, 0, 1), seed=0, validation_size=10)
+    assert list(training) == [(0,), (1,), (2,), (0, 1, 2)]
+    result = fit_inductive_skeleton(training, vertex_optima_from(training, 3), FitConfig())
+    edges = {face: report.warning for face, report in result.per_face_report.items() if len(face) == 2}
+    assert edges == dict.fromkeys([(0, 1), (0, 2), (1, 2)], "empty subsample")
 
 
 def test_graph_config_rejects_response_surface():

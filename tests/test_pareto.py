@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,6 +317,24 @@ def test_sample_set_ambient_orders_solutions_first():
 def test_concat_checks_dimensions():
     with pytest.raises(DimensionError):
         SampleSet.concat([SampleSet([(1, 2)]), SampleSet([(1, 2, 3)])])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: SampleSet(np.zeros((2, 2, 2))), DimensionError,
+                     "objectives must be 2-d, got shape (2, 2, 2)", id="3-d-objectives"),
+        pytest.param(lambda: SampleSet(np.zeros((2, 2)), solutions=np.zeros((3, 1))), DimensionError,
+                     "solutions and objectives disagree in point count", id="solution-count"),
+        pytest.param(lambda: SampleSet.concat([]), DimensionError,
+                     "cannot concatenate zero sample sets", id="concat-nothing"),
+        pytest.param(lambda: list(enumerate_faces(3, 4)), FaceError,
+                     "max face size must lie in 1..3, got 4", id="faces-past-m"),
+    ],
+)
+def test_sample_checks_name_what_is_wrong(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- CSV round trip -------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bsf import problems
-from bsf.errors import DomainError, InsufficientFrontError
+from bsf.errors import DimensionError, DomainError, InsufficientFrontError
 from bsf.pareto import SampleSet, nondominated_filter, save_sample
 from bsf.problems import (
     FileProblem,
@@ -69,6 +69,22 @@ def test_viennet2_value():
 def test_out_of_bounds_rejected():
     with pytest.raises(DomainError):
         evaluate_objectives(get_problem("constrex"), np.array([0.05, 0.0]))
+
+
+def test_wrong_variable_count_rejected():
+    with pytest.raises(DimensionError, match="^schaffer expects 1 variables, got 2$"):
+        evaluate_objectives(get_problem("schaffer"), np.array([1.0, 2.0]))
+
+
+def test_a_batch_gives_each_rows_objectives():
+    problem = get_problem("constrex")
+    X = np.array([[0.5, 1.0], [1.0, 0.0], [0.2, 4.0]])
+    F, feasible = evaluate_objectives(problem, X)
+    assert F.shape == (3, 2) and feasible.dtype == bool
+    assert feasible.tolist() == [False, True, False]
+    for x, f, ok in zip(X, F, feasible):
+        f_alone, ok_alone = evaluate_objectives(problem, x)
+        assert np.array_equal(f_alone, f) and ok_alone is bool(ok)
 
 
 def test_unknown_problem_lists_names():

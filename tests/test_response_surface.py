@@ -9,7 +9,7 @@ import pytest
 
 from bsf.bezier import _row_blocks
 from bsf.errors import DimensionError, ParseError
-from bsf.harness import score, surface_points, surface_rows
+from bsf.harness import score, surface_rows
 from bsf.pareto import SampleSet
 from bsf.problems import get_problem, make_training_set
 from bsf.response_surface import (
@@ -36,6 +36,11 @@ def test_basis_count_formula():
         assert len(cubic_basis_exponents(k)) == expected
 
 
+def test_basis_needs_a_variable():
+    with pytest.raises(DimensionError, match="^need at least one explanatory variable$"):
+        cubic_basis_exponents(0)
+
+
 def test_fit_recovers_quadratic_surface():
     rng = np.random.default_rng(0)
     U = rng.uniform(size=(40, 2))
@@ -45,6 +50,12 @@ def test_fit_recovers_quadratic_surface():
     pred = surface.predict_normalized((U - surface.lo[:2]) / surface.span[:2])
     denorm = surface.lo[2] + surface.span[2] * pred
     assert np.max(np.abs(denorm - y)) <= 1e-8
+
+
+def test_predict_rejects_the_wrong_input_count():
+    surface = fit_response_surface(SampleSet(np.random.default_rng(2).uniform(size=(30, 3))))
+    with pytest.raises(DimensionError, match="^expected 2 inputs, got 3$"):
+        surface.predict_normalized(np.zeros((4, 3)))
 
 
 def test_fit_rejects_single_objective():
@@ -89,7 +100,7 @@ def test_overflowing_grid_is_rejected_as_non_finite():
     surface = fit_response_surface(SampleSet(rng.uniform(size=(40, 5))))
     huge = replace(surface, coefficients=np.full(len(surface.exponents), 1e308))
     with pytest.raises(DimensionError, match="objectives must be finite"):
-        surface_points(huge, 20)
+        surface_rows(huge, 20).collect()
 
 
 def test_sample_grid_holds_no_full_grid_intermediate():

@@ -16,12 +16,13 @@ differs. The worktree is removed afterwards.
 The list holds the four benchmark workloads' command lines, read from
 `perfbench/workloads.py`, at seeds 3 and 11 (osyczka2-pool at its fixed
 seed); more experiments (viennet2, a medM:4 graph, medM:6, schaffer,
-constrex, a three-method N3 sweep); `generate`, `fit`, `evaluate` and `plot` on med5;
-`generate --graph`, `fit` and `evaluate` on med3, the model scored against
-its own validation set with solution columns; an experiment on a
-one-objective sample file, where the response surface fails every trial;
-and malformed-input probes (bad manifests, model headers, a model that
-lists a control point twice, and tolerances), whose standard error is
+constrex, a three-method N3 sweep, a med5 sweep from N3 = 0); `generate`,
+`fit`, `evaluate` and `plot` on med5; `generate --graph`, `fit` and
+`evaluate` on med3, the model scored against its own validation set with
+solution columns; an experiment on a one-objective sample file, where the
+response surface fails every trial; and malformed-input probes (bad
+manifests, model headers, a model that lists a control point twice,
+tolerances, and a grid too large to allocate), whose standard error is
 compared too.
 """
 
@@ -141,6 +142,9 @@ def steps() -> list[Step]:
         Step("constrex", _experiment("constrex", BEZIER, "1,3", "exp/constrex", "--trials", "5")),
         Step("med3-sweep", _experiment("med3", METHODS, "1,2,1", "exp/med3-sweep",
                                        "--trials", "3", "--sweep-n3", "1:4")),
+        # at N3 = 0 no triangle has a sample
+        Step("med5-sweep-n3-0", _experiment("med5", ("inductive",), "1,2,1", "exp/med5-sweep-n3-0",
+                                            "--trials", "2", "--sweep-n3", "0:1")),
         Step("med5-generate", ("generate", "--problem", "med5", "--sizes", "1,2,1", "--seed", "3",
                                "--validation", "300", "--out", "med5/data")),
     ]
@@ -197,6 +201,9 @@ def steps() -> list[Step]:
         ("bezier-M8-D20", _evaluate("probes/bezier-M8-D20.json"),
          _edit_json("med5/model-inductive.json", "bezier-M8-D20.json", M=8, D=20,
                     control_points=[{"index": [20] + [0] * 7, "point": [0.0] * 5}])),
+        # a grid table of C(10^8 + 2, 2) rows, which numpy refuses to allocate
+        ("evaluate-unallocatable-grid", _evaluate("graph/model.json", "--resolution", "100000000",
+                                                  validation="graph/data/validation.csv"), None),
         ("model-not-json", _evaluate("probes/model-not-json.json"), _write("model-not-json.json", b"nope\n")),
         ("validation-not-utf8", _evaluate("med5/model-inductive.json", validation="probes/bad.csv"),
          _write("bad.csv", b"f1,f2,f3,f4,f5\n1,2,3,4,\xff\n")),
