@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -103,6 +105,12 @@ def multi_indices(m: int, degree: int) -> tuple[tuple[int, ...], ...]:
     if degree < 0:
         raise InvalidIndexError(f"degree must be nonnegative, got {degree}")
     return tuple(map(tuple, compositions(m, degree).tolist()))
+
+
+@lru_cache(maxsize=None)
+def index_rows(m: int, degree: int) -> Mapping[tuple[int, ...], int]:
+    """Read-only map from each index of `multi_indices(m, degree)` to its row."""
+    return MappingProxyType({d: r for r, d in enumerate(multi_indices(m, degree))})
 
 
 def barycentric_grid(m: int, resolution: int) -> np.ndarray:
@@ -249,7 +257,7 @@ def _shift_rows(m: int, degree: int, order: int) -> np.ndarray:
     Entry [e, i_1, ..., i_order] is the row of e + e_i1 + ... + e_iorder in
     multi_indices(m, degree), for each e in multi_indices(m, degree - order).
     """
-    rows = {d: r for r, d in enumerate(multi_indices(m, degree))}
+    rows = index_rows(m, degree)
     lower = multi_indices(m, degree - order)
     table = np.empty((len(lower),) + (m,) * order, dtype=np.intp)
     for pos in np.ndindex(table.shape):
@@ -336,12 +344,12 @@ def as_barycentric_rows(T, m: int | None = None) -> np.ndarray:
         raise DimensionError(f"expected a 2-d array of coordinates, got shape {arr.shape}")
     if m is not None and arr.shape[1] != m:
         raise DimensionError(f"expected {m} barycentric coordinates, got {arr.shape[1]}")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise BarycentricError("non-finite barycentric coordinates")
-    if (arr < -REPAIR_TOLERANCE).any():
+    if np.logical_or.reduce(arr < -REPAIR_TOLERANCE, axis=None):
         raise BarycentricError("negative barycentric coordinate beyond repair tolerance")
-    sums = arr.sum(axis=1)
-    if (np.abs(sums - 1.0) > REPAIR_TOLERANCE).any():
+    sums = np.add.reduce(arr, axis=1)
+    if np.logical_or.reduce(np.abs(sums - 1.0) > REPAIR_TOLERANCE):
         raise BarycentricError("coordinates do not sum to 1 within repair tolerance")
     return clamp_renorm(arr)[0]
 
@@ -356,9 +364,9 @@ def clamp_renorm(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the bits of dividing the masked rows.
     """
     np.maximum(T, 0.0, out=T)
-    s = T.sum(axis=1)
+    s = np.add.reduce(T, axis=1)
     ok = s > 0.0
-    if ok.all():  # the common case: divide in place, with no gather or scatter
+    if np.logical_and.reduce(ok):  # the common case: divide in place, no gather or scatter
         T /= s[:, None]
     else:
         T[ok] /= s[ok, None]
@@ -435,13 +443,9 @@ class BezierSimplex:
     def indices(self) -> tuple[tuple[int, ...], ...]:
         return multi_indices(self.m, self.degree)
 
-    @cached_property
-    def _rows(self) -> dict[tuple[int, ...], int]:
-        return {d: i for i, d in enumerate(self.indices)}
-
     def index_row(self, index) -> int:
         try:
-            return self._rows[tuple(index)]
+            return index_rows(self.m, self.degree)[tuple(index)]
         except KeyError:
             raise InvalidIndexError(
                 f"{tuple(index)} is not a degree-{self.degree} index over {self.m} coordinates"

@@ -189,9 +189,9 @@ def cmd_fit(args) -> int:
     )
     training, m = load_training_dir(args.data)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     vertices = None if args.method == "response-surface" else vertex_optima_from(training, m)
     model, result = fit_method(args.method, training, vertices, cfg)
+    out.parent.mkdir(parents=True, exist_ok=True)
     model.save(out)
     if result is None:
         print(f"fitted response surface with {len(model.coefficients)} coefficients")
@@ -244,7 +244,9 @@ def cmd_evaluate(args) -> int:
     gd_val, igd_val = score(surface_rows(model, args.resolution), val_points, args.normalize)
     print(f"GD={gd_val!r} IGD={igd_val!r}")
     if args.out:
-        Path(args.out).write_text(f"gd,igd\n{gd_val!r},{igd_val!r}\n")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(f"gd,igd\n{gd_val!r},{igd_val!r}\n")
     return 0
 
 
@@ -335,8 +337,6 @@ def cmd_plot(args) -> int:
             f"a metrics CSV is plotted on its own: got {', '.join(map(str, metrics_paths))}"
             + (f" with {others}" if others else "")
         )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     if metrics_paths:
         metrics_path = metrics_paths[0]
         metric_rows = read_rows(metrics_path)
@@ -350,7 +350,7 @@ def cmd_plot(args) -> int:
             if not groups:
                 raise ParseError(f"{metrics_path}: no successful rows to plot")
             panels.append((name, groups))
-        out.write_text(plotting.boxplot_svg(panels))
+        svg = plotting.boxplot_svg(panels)
     else:
         series = []
         for path, kind in inputs:
@@ -359,7 +359,10 @@ def cmd_plot(args) -> int:
                 series.append((f"model:{path.stem}", surface_rows(model, args.resolution).collect()))
             else:
                 series.append((path.stem, load_sample(path).objectives))
-        out.write_text(plotting.scatter_svg(series))
+        svg = plotting.scatter_svg(series)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(svg)
     print(f"wrote {out}")
     return 0
 

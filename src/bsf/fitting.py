@@ -44,6 +44,7 @@ from .bezier import (
     clamp_renorm as _clamp_renorm,
     derivatives_on_runs,
     face_indices,
+    index_rows,
     shifted_nets,
     weighted_design_matrix,
 )
@@ -161,6 +162,26 @@ def _solve_rows(H: np.ndarray, g: np.ndarray) -> np.ndarray:
         return out
 
 
+def _newton_step(hu: np.ndarray, gu: np.ndarray) -> np.ndarray:
+    """The reduced Newton step s solving hu[i] @ s[i] = -gu[i] on every row,
+    NaN on each row whose system is singular or whose step is not finite.
+
+    A 1x1 system (m = 2) is solved by one division, which has the bits of
+    `_solve_rows`: a zero pivot gives an infinite or NaN quotient, which the
+    finite check turns into the NaN a singular row gets there. Larger
+    systems take `_solve_rows`.
+    """
+    if hu.shape[1] == 1:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = -gu / hu[:, :, 0]
+    else:
+        step = _solve_rows(hu, -gu)
+    finite = np.logical_and.reduce(np.isfinite(step), axis=1)
+    if not np.logical_and.reduce(finite):
+        step[~finite] = np.nan
+    return step
+
+
 def project_parameter(model, x, t0, cfg: FitConfig):
     """Foot-point projection: locally minimize |b(t) - x|^2 over the simplex.
 
@@ -174,13 +195,15 @@ def project_parameter(model, x, t0, cfg: FitConfig):
     The rows of every model, a batch of one included, run in one vectorized
     Newton iteration over the stack of the models' nets; model k's rows are
     the run bounds[k]:bounds[k+1], counted once per call. Every rule below
-    applies to each row on its own, a row that stops is frozen, and each row
-    meets only its own model's net, so each model's results are bit-identical
-    to a batch of it alone.
+    applies to each row on its own, a row that stops leaves the iteration's
+    compact arrays, and each row meets only its own model's net, so each
+    model's results are bit-identical to a batch of it alone.
 
     Newton steps act on the reduced coordinates (the last one is eliminated
-    through the sum constraint); after each step negative entries are clamped
-    to zero and the vector renormalized. A row stops when its full
+    through the sum constraint); for m = 2 the reduced system is 1x1 and is
+    solved by a division, which has the bits of the LAPACK solve that larger
+    m use. After each step negative entries are clamped to zero and the
+    vector renormalized. A row stops when its full
     orthogonality residual sqrt(sum_j <d b/d t_j, b(t) - x>^2) drops below
     cfg.newton_tol, at the iteration cap, or once it stalls (a step below
     1e-15, or five consecutive steps without improving its best squared
@@ -222,11 +245,13 @@ def _newton_rows(m: int, degree: int, P, X, T, cfg: FitConfig, bounds) -> np.nda
 
     `P` is a stack of control nets, net f serving rows bounds[f]:bounds[f+1].
     The shifted nets of orders 0, 1 and 2 are built once per call (see
-    bezier.partial_derivatives). Every subset of rows worked on stays
-    sorted, so its runs are where the bounds fall in it; they are found
-    again only when the subset changes, and an iteration in which no row
-    stops finds them once for every order. Only the products with a net
-    depend on more than the row itself.
+    bezier.partial_derivatives). The loop carries only the rows still
+    running: their numbers `active`, iterates `t`, residuals `r` and points
+    `x`, filtered together by one mask when rows stop; the best iterates,
+    their squared distances and the stall counts stay full-size. `active`
+    stays sorted, so its runs are where the bounds fall in it; they are found
+    again only when rows stop. Only the products with a net depend on more
+    than the row itself. The step is `_newton_step`'s, a division when m = 2.
     """
     nets = [shifted_nets(m, degree, P, order) for order in range(3)]
 
@@ -236,74 +261,67 @@ def _newton_rows(m: int, degree: int, P, X, T, cfg: FitConfig, bounds) -> np.nda
     def runs_of(rows):
         return np.searchsorted(rows, bounds).tolist()
 
-    def residuals(Tv, rows, runs):  # b(t) - x
-        return derivatives(Tv, runs, 0) - X[rows]
-
-    active, runs = np.arange(T.shape[0]), bounds.tolist()
-    R = residuals(T, active, runs)  # at every row's current iterate
-    best_T, best_g = T.copy(), (R * R).sum(axis=1)
+    active, runs, t, x = np.arange(T.shape[0]), bounds.tolist(), T, X
+    r = derivatives(t, runs, 0) - x  # b(t) - x
+    best_T, best_g = T.copy(), np.add.reduce(r * r, axis=1)
     stalled = np.zeros(T.shape[0], dtype=int)
     for _ in range(cfg.max_newton_iters):
         if active.size == 0:
             break
-        t, r = T[active], R[active]
         jac = derivatives(t, runs, 1)  # (k, A, m)
         resid = np.einsum("kaj,ka->kj", jac, r)
-        going = ~(np.sqrt((resid * resid).sum(axis=1)) <= cfg.newton_tol)
-        if not going.all():
-            active, t, r, jac, resid = (a[going] for a in (active, t, r, jac, resid))
+        done = np.sqrt(np.add.reduce(resid * resid, axis=1)) <= cfg.newton_tol
+        if np.logical_or.reduce(done):
+            going = ~done
+            active, t, r, x, jac, resid = (a[going] for a in (active, t, r, x, jac, resid))
             if active.size == 0:
                 break
             runs = runs_of(active)
         hess = derivatives(t, runs, 2)  # (k, A, m, m)
-        g_now = (r * r).sum(axis=1)
         grad = 2.0 * resid
         hg = 2.0 * (
             np.einsum("kai,kaj->kij", jac, jac) + np.einsum("ka,kaij->kij", r, hess)
         )
         gu = grad[:, :-1] - grad[:, -1:]
         hu = hg[:, :-1, :-1] - hg[:, :-1, -1:] - hg[:, -1:, :-1] + hg[:, -1:, -1:]
-        step = _solve_rows(hu, -gu)
-        # a non-finite step fails its row, as a singular system does
-        finite = np.isfinite(step).all(axis=1)
-        if not finite.all():
-            step[~finite] = np.nan
-        step = np.concatenate((step, -step.sum(axis=1, keepdims=True)), axis=1)
+        step = _newton_step(hu, gu)
+        step = np.concatenate((step, -np.add.reduce(step, axis=1, keepdims=True)), axis=1)
         t_new, found = _clamp_renorm(t + step)
-        if not found.all():
+        if not np.logical_and.reduce(found):
             # damped gradient fallback keeps the iteration total
-            direction = np.concatenate((-gu, gu.sum(axis=1, keepdims=True)), axis=1)
+            g_now = np.add.reduce(r * r, axis=1)
+            direction = np.concatenate((-gu, np.add.reduce(gu, axis=1, keepdims=True)), axis=1)
             alpha = 1.0
             for _ in range(20):
                 todo = np.flatnonzero(~found)
                 if todo.size == 0:
                     break
                 cand, ok = _clamp_renorm(t[todo] + alpha * direction[todo])
-                rows = active[todo[ok]]
-                rc = residuals(cand[ok], rows, runs_of(rows))
-                ok[ok] = (rc * rc).sum(axis=1) < g_now[todo][ok]
+                rows = todo[ok]
+                rc = derivatives(cand[ok], runs_of(active[rows]), 0) - x[rows]
+                ok[ok] = np.add.reduce(rc * rc, axis=1) < g_now[rows]
                 t_new[todo[ok]] = cand[ok]
                 found[todo[ok]] = True
                 alpha *= 0.5
         # a row without a new iterate, or with no move, is at a fixed point
         # (typically a clamped boundary minimum)
-        moved = found & (np.abs(t_new - t).max(axis=1) > 1e-15)
-        if not moved.all():
-            active, t_new = active[moved], t_new[moved]
+        moved = found & (np.maximum.reduce(np.abs(t_new - t), axis=1) > 1e-15)
+        if not np.logical_and.reduce(moved):
+            active, t_new, x = active[moved], t_new[moved], x[moved]
             runs = runs_of(active)
-        T[active] = t_new
-        r = residuals(t_new, active, runs)
-        R[active] = r
-        g = (r**2).sum(axis=1)
+        t = t_new
+        r = derivatives(t, runs, 0) - x
+        g = np.add.reduce(r * r, axis=1)
         better = g < best_g[active]
         improved = active[better]
-        best_T[improved] = t_new[better]
+        best_T[improved] = t[better]
         best_g[improved] = g[better]
-        stalled[improved] = 0
-        stalled[active[~better]] += 1
-        keep = stalled[active] < 5
-        if not keep.all():
-            active = active[keep]
+        count = stalled[active] + 1
+        count[better] = 0
+        stalled[active] = count
+        keep = count < 5
+        if not np.logical_and.reduce(keep):
+            active, t, r, x = active[keep], t[keep], r[keep], x[keep]
             runs = runs_of(active)
     return best_T
 
@@ -315,13 +333,14 @@ def solve_control_points(X, T, model: BezierSimplex, free) -> BezierSimplex:
     take the minimum-norm offset, which leaves undetermined directions at
     their current (grid-initialized) values rather than shrinking them to zero.
     """
-    free = {tuple(d) for d in free}
-    if not free:
+    table = index_rows(model.m, model.degree)
+    try:
+        rows = sorted({table[tuple(d)] for d in free})  # in model row order
+    except KeyError:
+        unknown = {tuple(d) for d in free} - table.keys()
+        raise DimensionError(f"free indices not in the model: {sorted(unknown)}") from None
+    if not rows:
         return model
-    rows = [i for i, d in enumerate(model.indices) if d in free]
-    if len(rows) != len(free):
-        unknown = free - set(model.indices)
-        raise DimensionError(f"free indices not in the model: {sorted(unknown)}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise InsufficientDataError("no sample points for a control-point solve")
@@ -343,7 +362,7 @@ def sse(model: BezierSimplex, X, T) -> float:
     if X.shape[0] != T.shape[0]:
         raise DimensionError("samples and parameters disagree in count")
     r = model.evaluate_batch(T) - X
-    return float(np.sum(r * r))
+    return float(np.add.reduce(r * r, axis=None))
 
 
 def _alternate(fits, cfg: FitConfig) -> list:

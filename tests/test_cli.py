@@ -177,6 +177,20 @@ def test_evaluate_self_grid_is_zero(tmp_path, capsys):
     assert "GD=0.0" in out and "IGD=0.0" in out
 
 
+def test_evaluate_out_makes_its_directory(tmp_path, capsys):
+    # writing into a new directory used to fail after the scores were printed
+    data, true = write_synthetic_training(tmp_path)
+    model_path = tmp_path / "model.json"
+    true.save(model_path)
+    val = tmp_path / "val.csv"
+    save_sample(grid_sample(true, 20), val)
+    out = tmp_path / "new" / "sub" / "s.csv"
+    code = run_cli("evaluate", "--model", model_path, "--validation", val, "--resolution", "20",
+                   "--out", out)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text() == "gd,igd\n0.0,0.0\n"
+
 def test_evaluate_swapped_models_exchange_gd_igd(tmp_path, capsys):
     rng = np.random.default_rng(1)
     a = BezierSimplex(2, 2, rng.uniform(size=(3, 2)))
@@ -608,6 +622,15 @@ def test_plot_metrics_without_successful_rows_names_the_file(tmp_path, capsys, f
     assert capsys.readouterr().err == f"error: {metrics}: no successful rows to plot\n"
     assert not (tmp_path / "box.svg").exists()
 
+
+def test_a_refused_plot_makes_no_directory(tmp_path, capsys):
+    from bsf.harness import TrialRow, write_rows
+
+    metrics = tmp_path / "results.csv"
+    write_rows([TrialRow("med3", "inductive", (1, 2, 1), 0, None, None, None, "boom")], metrics)
+    assert run_cli("plot", metrics, "--out", tmp_path / "new" / "sub" / "box.svg") == 2
+    assert capsys.readouterr().err == f"error: {metrics}: no successful rows to plot\n"
+    assert not (tmp_path / "new").exists()
 
 def test_plot_two_metrics_csvs_is_a_usage_error(tmp_path, capsys):
     # the second file used to replace the first without a word

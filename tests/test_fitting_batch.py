@@ -349,6 +349,34 @@ def test_tuple_projection_with_a_singular_model():
         assert_tuple_matches_single_calls([regular, singular], xs[::-1], t0s[::-1], cfg)
 
 
+
+def _one_by_one_systems(regular):
+    """Every pair (h, g) of edge values and of random values up to 1e+-300,
+    as 1x1 systems h @ s = -g; `regular` keeps the finite nonzero pivots,
+    so that the LAPACK solve takes one stacked call."""
+    rng = np.random.default_rng(30)
+    wide = rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(-300, 300, 40)
+    edge = [0.0, -0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1e308, -1e308, np.inf, -np.inf, np.nan]
+    h, g = (a.ravel() for a in np.meshgrid(np.concatenate((edge, wide)), np.concatenate((edge, wide))))
+    if regular:
+        keep = np.isfinite(h) & (h != 0)
+        h, g = h[keep], g[keep]
+    return h.reshape(-1, 1, 1), g.reshape(-1, 1)
+
+
+@pytest.mark.parametrize("regular", [False, True])
+def test_one_by_one_newton_step_has_the_bits_of_the_lapack_solve(regular):
+    # m = 2 divides where larger systems call LAPACK; a singular or
+    # non-finite row is NaN either way, and no RuntimeWarning escapes
+    h, g = _one_by_one_systems(regular)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = fitting._newton_step(h, g)
+    expected = _solve_rows(h, -g)
+    expected[~np.all(np.isfinite(expected), axis=1)] = np.nan
+    assert step.shape == expected.shape
+    assert bits(step) == bits(expected)
+
 def test_tuple_projection_rejects_mixed_models():
     a = BezierSimplex(2, 2, np.zeros((3, 1)))
     b = BezierSimplex(2, 1, np.zeros((2, 1)))
