@@ -170,8 +170,8 @@ def _blocked_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None,
     """A @ B for 2-d A, one product per block of `bounds`: row numbers of a
     larger product, of which A holds rows bounds[0]:bounds[-1]. They default
     to the `_row_blocks` of A @ B, which give the bits of one product (but
-    see `_row_blocks`) without waking OpenBLAS's threads; a product that fits
-    whole is one np.matmul into `out` (as in np.matmul), the BLAS call of A @ B.
+    see `_row_blocks`) without waking OpenBLAS's threads; bounds of one block
+    return np.matmul(A, B, out=out) at once, the BLAS call of A @ B.
 
     The leading blocks, which have equal rows, go in one stacked np.matmul
     of C-contiguous views: numpy runs the same BLAS call on each block, so
@@ -179,6 +179,8 @@ def _blocked_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None,
     one release of the GIL."""
     if bounds is None:
         bounds = _row_blocks(A.shape[0], A.shape[1], B.shape[1] if B.ndim == 2 else None)
+    if len(bounds) == 2:
+        return np.matmul(A, B, out=out)
     if out is None:
         out = np.empty((A.shape[0],) + B.shape[1:], dtype=np.result_type(A, B))
     rows = [b - bounds[0] for b in bounds]
@@ -245,7 +247,16 @@ def weighted_design_matrix(m: int, degree: int, T: np.ndarray) -> np.ndarray:
 
     Column order follows multi_indices(m, degree). Entry [n, k] is the
     coefficient of control point k in b(T[n]).
+
+    At degree 1 the matrix is T itself: its columns are the unit indices in
+    order, each weight is 1, and x ** 1 = x, x ** 0 = 1 exactly. For a
+    C-contiguous float T with m columns the result is then T, not a copy;
+    callers only read it.
     """
+    if degree == 1:
+        T = np.ascontiguousarray(T, dtype=float)
+        if T.ndim == 2 and T.shape[1] == m:
+            return T
     idx, w = _basis_arrays(m, degree)
     return w * monomials(T, idx)
 
@@ -336,7 +347,14 @@ def as_barycentric(t, m: int | None = None) -> np.ndarray:
 
 
 def as_barycentric_rows(T, m: int | None = None) -> np.ndarray:
-    """Row-wise version of as_barycentric for (n, m) arrays."""
+    """Row-wise version of as_barycentric for (n, m) arrays: a new array.
+
+    Rows with no negative entry and sums within REPAIR_TOLERANCE of 1, such
+    as the parameters the fitter produces, pass one combined check and are
+    clamped (-0.0 becomes +0.0) and divided by their sums: `clamp_renorm`'s
+    operations in its order. Any other input takes the full checks, which
+    name what is wrong, and then `clamp_renorm`.
+    """
     arr = np.array(T, dtype=float, copy=True)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -344,6 +362,12 @@ def as_barycentric_rows(T, m: int | None = None) -> np.ndarray:
         raise DimensionError(f"expected a 2-d array of coordinates, got shape {arr.shape}")
     if m is not None and arr.shape[1] != m:
         raise DimensionError(f"expected {m} barycentric coordinates, got {arr.shape[1]}")
+    if arr.size and np.minimum.reduce(arr, axis=None) >= 0.0:  # False on NaN
+        np.maximum(arr, 0.0, out=arr)
+        sums = np.add.reduce(arr, axis=1)
+        if np.logical_and.reduce(np.abs(sums - 1.0) <= REPAIR_TOLERANCE):
+            arr /= sums[:, None]
+            return arr
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise BarycentricError("non-finite barycentric coordinates")
     if np.logical_or.reduce(arr < -REPAIR_TOLERANCE, axis=None):

@@ -130,7 +130,9 @@ def nondominated_mask(F: np.ndarray) -> np.ndarray:
     - M = 1: every group but the first is dominated.
     - M = 2: a group is dominated iff the prefix minimum of column 1 over the
       groups before it is <= its own value; O(n log n) in all.
-    - M >= 3: scan the groups in blocks of `_SCAN_BLOCK`, keeping an archive
+    - M = 3: a bottom-up merge over the group order (Kung, Luccio and
+      Preparata, 1975), O(n log n) in all; see `_merge_dominated`.
+    - M >= 4: scan the groups in blocks of `_SCAN_BLOCK`, keeping an archive
       of the non-dominated groups of earlier blocks. Dominance is a strict
       partial order, so a dominated group q has a non-dominated dominator p,
       which sorts before q. If p lies in an earlier block it is in the
@@ -178,6 +180,8 @@ def _dominated_groups(U: np.ndarray) -> np.ndarray:
         dominated = np.zeros(u, dtype=bool)
         dominated[1:] = np.minimum.accumulate(U[:-1, 1]) <= U[1:, 1]
         return dominated
+    if m == 3:
+        return _merge_dominated(U[:, 1], U[:, 2])
     V = U[:, 1:]
     dominated = np.ones(u, dtype=bool)
     archive = np.empty_like(V)
@@ -196,6 +200,46 @@ def _dominated_groups(U: np.ndarray) -> np.ndarray:
         archive[count : count + rows.size] = block[rows]
         count += rows.size
     return dominated
+
+
+def _merge_dominated(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows q with some earlier row p (p < q) such that a[p] <= a[q] and
+    b[p] <= b[q]: `_dominated_groups` for M = 3, with a and b its columns 1
+    and 2.
+
+    The rows are padded to a power of two with (+inf, +inf) rows at the end;
+    a padded row lies after every real row, so it only ever tests another
+    padded row. For half-width s = 1, 2, 4, ..., each block of 2s rows is
+    put in order of a by a stable sort of its two halves, each already in
+    that order, so on a tie an earlier-half row stays before a later-half
+    one. A later-half row is then dominated by an earlier-half row iff some
+    earlier-half row before it in this order has b <= its own: a running
+    minimum of b over the earlier-half rows, with a running flag for having
+    met one (a +inf placeholder alone would mark a later row whose b is
+    +inf). Every pair p < q lies in opposite halves of exactly one block, so
+    the union over the levels is exact.
+    """
+    u = a.shape[0]
+    size = 1 << (u - 1).bit_length()
+    if size > u:
+        pad = np.full(size - u, np.inf)
+        a, b = np.concatenate((a, pad)), np.concatenate((b, pad))
+    dominated = np.zeros(size, dtype=bool)
+    order = np.arange(size)  # row numbers, each block of s in order of a
+    s = 1
+    while s < size:
+        blocks = order.reshape(-1, 2 * s)
+        moved = np.argsort(a[blocks], axis=1, kind="stable")
+        blocks = np.take_along_axis(blocks, moved, axis=1)
+        early = moved < s
+        col = b[blocks]
+        hit = np.logical_or.accumulate(early, axis=1)
+        hit &= np.minimum.accumulate(np.where(early, col, np.inf), axis=1) <= col
+        hit &= ~early
+        dominated[blocks[hit]] = True
+        order = blocks.reshape(-1)
+        s *= 2
+    return dominated[:u]
 
 
 def nondominated_filter(S: SampleSet) -> SampleSet:

@@ -178,6 +178,12 @@ def test_two_models_grids_build_the_table_once():
                      "expected a 2-d array of coordinates, got shape (2, 2, 2)", id="3-d-coordinates"),
         pytest.param(lambda: as_barycentric_rows([[np.nan, 1.0]]), BarycentricError,
                      "non-finite barycentric coordinates", id="nan-coordinate"),
+        pytest.param(lambda: as_barycentric_rows([[np.inf, 0.0]]), BarycentricError,
+                     "non-finite barycentric coordinates", id="inf-coordinate"),
+        pytest.param(lambda: as_barycentric_rows([[1.0 + 2e-9, -2e-9]]), BarycentricError,
+                     "negative barycentric coordinate beyond repair tolerance", id="negative-coordinate"),
+        pytest.param(lambda: as_barycentric_rows([[0.5, 0.5 + 2e-9]]), BarycentricError,
+                     "coordinates do not sum to 1 within repair tolerance", id="sum-off"),
         pytest.param(lambda: face_indices(3, 2, (0, 3)), FaceError,
                      "face (0, 3) out of range for m=3", id="face-past-m"),
         pytest.param(lambda: BezierSimplex(0, 1, [[1.0]]), DimensionError,
@@ -242,6 +248,28 @@ def test_barycentric_rejects_far_sum():
 def test_barycentric_rejects_negative():
     with pytest.raises(BarycentricError):
         as_barycentric([1.2, -0.2], 2)
+
+
+def test_barycentric_rows_have_the_bits_of_clamp_renorm():
+    # -0.0, sums of exactly 1.0 and sums a rounding or a tolerance off, alone
+    # and in one table with rows that have a negative entry within tolerance
+    table = np.array([
+        [0.2, 0.3, 0.5],
+        [1 / 3, 1 / 3, 1 / 3],
+        [0.1, 0.2, 0.7],
+        [-0.0, 0.25, 0.75],
+        [-0.0, -0.0, 1.0],
+        [1e-300, 0.5, 0.5],
+        [0.5, 0.5 + 8e-10, 0.0],
+        [0.5, 0.5 - 8e-10, -0.0],
+        [-5e-10, 0.5, 0.5 + 5e-10],
+        [-0.0, -8e-10, 1.0],
+    ])
+    # and rows whose sums are a few roundings off 1
+    table = np.vstack([table, np.random.default_rng(17).dirichlet(np.ones(3), size=50)])
+    for rows in [table, table[:8], table[10:], *table[:, None]]:
+        assert_same_bits(as_barycentric_rows(rows, 3), bezier.clamp_renorm(rows.copy())[0])
+    assert as_barycentric_rows(np.zeros((0, 3)), 3).shape == (0, 3)
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -662,6 +690,16 @@ def test_monomials_match_power_tensor_bits(case):
     assert_same_bits(monomials(T, E), reference_design(T, E))
     w = np.array([multinomial(degree, d) for d in multi_indices(m, degree)], dtype=float)
     assert_same_bits(weighted_design_matrix(m, degree, T), w * reference_design(T, E))
+
+
+def test_degree_one_design_matrix_is_the_parameters():
+    rng = np.random.default_rng(16)
+    T = rng.dirichlet(np.ones(3), size=400) * 10.0 ** rng.integers(-300, 301, size=(400, 1))
+    T[::9, 1] = -0.0
+    E = np.eye(3, dtype=np.int64)
+    assert weighted_design_matrix(3, 1, T) is T
+    assert_same_bits(weighted_design_matrix(3, 1, T), reference_design(T, E))
+    assert_same_bits(weighted_design_matrix(3, 1, T[:, ::-1]), reference_design(T[:, ::-1], E))
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -164,14 +164,15 @@ def test_mask_matches_pairwise_definition_past_block(seed, m, layout):
     np.testing.assert_array_equal(nondominated_mask(F), pairwise_nondominated_mask(F))
 
 
+@pytest.mark.parametrize("m", [3, 4])  # the merge, and the scan
 @pytest.mark.parametrize("dominated", [False, True])
-def test_mask_duplicates_straddle_block_boundary(dominated):
+def test_mask_duplicates_straddle_block_boundary(dominated, m):
     rng = np.random.default_rng(11)
-    F = rng.dirichlet(np.ones(3), size=2 * _SCAN_BLOCK)
+    F = rng.dirichlet(np.ones(m), size=2 * _SCAN_BLOCK)
     F = F[np.lexsort(F.T[::-1])]
     # a pair of identical rows at sorted positions 511 and 512: a front row,
     # or a row just above its sorted predecessor, which dominates it
-    twin = F[_SCAN_BLOCK - 2] + [0, 0, 1e-9] if dominated else F[_SCAN_BLOCK - 1]
+    twin = F[_SCAN_BLOCK - 2] + 1e-9 * (np.arange(m) == m - 1) if dominated else F[_SCAN_BLOCK - 1]
     F = np.vstack([F[: _SCAN_BLOCK - 1], twin, twin, F[_SCAN_BLOCK:]])
     F = F[rng.permutation(F.shape[0])]
     order = np.lexsort(F.T[::-1])
@@ -179,6 +180,33 @@ def test_mask_duplicates_straddle_block_boundary(dominated):
     mask = nondominated_mask(F)
     np.testing.assert_array_equal(mask, pairwise_nondominated_mask(F))
     assert mask[order[_SCAN_BLOCK - 1]] == mask[order[_SCAN_BLOCK]] == (not dominated)
+
+
+def _merge_case(n, rng):
+    """n rows of three objectives: a front and rows a little above it, with
+    ties in columns 1 and 2, rows on the edge f2 = 0 written as 0.0 or -0.0,
+    rows (x, -inf, +inf), other +inf entries, and duplicate rows."""
+    F = rng.dirichlet(np.ones(3), size=n)
+    above = rng.random(n) < 0.3
+    F[above] += rng.random((above.sum(), 3)) * 0.05
+    F[:, 1:] = np.round(F[:, 1:] * 64) / 64
+    edge = rng.random(n) < 0.05
+    F[edge, 1] = rng.choice([0.0, -0.0], size=edge.sum())
+    F[edge, 2] = 1.0 - F[edge, 0]
+    F[rng.random((n, 3)) < 0.01] = np.inf
+    low = rng.random(n) < 0.01
+    F[low, 1], F[low, 2] = -np.inf, np.inf
+    duplicate = rng.random(n) < 0.1
+    F[duplicate] = F[rng.integers(0, n, size=duplicate.sum())]
+    return F
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_three_objective_merge_matches_pairwise_definition(k):
+    rng = np.random.default_rng(k)
+    for n in (2**k - 1, 2**k, 2**k + 1):  # a full power of two, and one row either side
+        F = _merge_case(n, rng)
+        np.testing.assert_array_equal(nondominated_mask(F), pairwise_nondominated_mask(F))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])

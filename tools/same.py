@@ -16,7 +16,9 @@ differs. The worktree is removed afterwards.
 The list holds the four benchmark workloads' command lines, read from
 `perfbench/workloads.py`, at seeds 3 and 11 (osyczka2-pool at its fixed
 seed); more experiments (viennet2, a medM:4 graph, medM:6, schaffer,
-constrex, a three-method N3 sweep, a med5 sweep from N3 = 0); `generate`,
+constrex, a three-method N3 sweep, a med5 sweep from N3 = 0, and med3 with
+3,000 validation points, whose three-objective front check merges 12
+levels short of a full power of two); `generate`,
 `fit`, `evaluate` and `plot` on med5; `generate --graph`, `fit` and
 `evaluate` on med3, the model scored against its own validation set with
 solution columns; an experiment on a one-objective sample file, where the
@@ -142,6 +144,9 @@ def steps() -> list[Step]:
         Step("constrex", _experiment("constrex", BEZIER, "1,3", "exp/constrex", "--trials", "5")),
         Step("med3-sweep", _experiment("med3", METHODS, "1,2,1", "exp/med3-sweep",
                                        "--trials", "3", "--sweep-n3", "1:4")),
+        # a 3,000-row front check: 12 merge levels, padded to 4,096 rows
+        Step("med3-validation-3000", _experiment("med3", ("inductive",), "1,2,1", "exp/med3-validation-3000",
+                                                 "--trials", "2", "--validation", "3000")),
         # at N3 = 0 no triangle has a sample
         Step("med5-sweep-n3-0", _experiment("med5", ("inductive",), "1,2,1", "exp/med5-sweep-n3-0",
                                             "--trials", "2", "--sweep-n3", "0:1")),
