@@ -164,8 +164,9 @@ def test_mask_matches_pairwise_definition_past_block(seed, m, layout):
     np.testing.assert_array_equal(nondominated_mask(F), pairwise_nondominated_mask(F))
 
 
-@pytest.mark.parametrize("m", [3, 4])  # the merge, and the scan
-@pytest.mark.parametrize("dominated", [False, True])
+# m = 3 takes the merge, m = 4 the block scan
+@pytest.mark.parametrize("dominated, m", [(False, 3), (True, 3), (False, 4), (True, 4)],
+                         ids=["False", "True", "False-4", "True-4"])
 def test_mask_duplicates_straddle_block_boundary(dominated, m):
     rng = np.random.default_rng(11)
     F = rng.dirichlet(np.ones(m), size=2 * _SCAN_BLOCK)

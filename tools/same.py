@@ -17,8 +17,8 @@ The list holds the four benchmark workloads' command lines, read from
 `perfbench/workloads.py`, at seeds 3 and 11 (osyczka2-pool at its fixed
 seed); more experiments (viennet2, a medM:4 graph, medM:6, schaffer,
 constrex, a three-method N3 sweep, a med5 sweep from N3 = 0, and med3 with
-3,000 validation points, whose three-objective front check merges 12
-levels short of a full power of two); `generate`,
+3,000 validation points, whose three-objective front check spans 12 merge
+levels at a size that is no power of two); `generate`,
 `fit`, `evaluate` and `plot` on med5; `generate --graph`, `fit` and
 `evaluate` on med3, the model scored against its own validation set with
 solution columns; an experiment on a one-objective sample file, where the
