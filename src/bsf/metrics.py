@@ -2,37 +2,41 @@
 
 Distances are exact: each directed mean equals, bit for bit, a left-to-right
 sum of per-point minima of `sqrt(sum((x - y) ** 2))` over every pair (no
-spatial index, no approximation). The nearest-point search runs in two passes
-per block of rows. Pass 1 approximates all squared distances of the block in
-single precision with one matrix product, ||x||^2 + ||y||^2 - 2 x.y on
-centred points, and keeps as candidates the pairs whose approximation lies
+spatial index, no approximation). The nearest-point search runs in two
+passes. Pass 1, per block of rows, approximates all squared distances of the
+block in single precision with one matrix product, ||x||^2 + ||y||^2 - 2 x.y
+on centred points, and keeps as candidates the pairs whose approximation lies
 within a rigorous rounding bound of a row's or a column's minimum. The bound
 is per point: it grows with that point's own norm and least distance, so one
 far point widens only its own screen. Pass 2 recomputes only those pairs with
-the exact double-precision expression and takes their minima. The bound
-covers the rounding of both the approximation and the exact expression, so
-the pair that gives the true minimum is always a candidate, and every
-candidate's value is an exact pair distance: the minimum is the same number
-the full computation gives. Blocks the bound cannot vouch for (non-finite
-coordinates, or squares past float32's range) or where most pairs tie (so
-that gathering them would cost more than the full block) are computed in
-full with the exact expression. Every call gives the row and the column
-minima, so GD and IGD (`gd_igd`) come from one pass.
+the exact double-precision expression and takes their minima, once for a
+group of blocks. The bound covers the rounding of both the approximation and
+the exact expression, so the pair that gives the true minimum is always a
+candidate, and every candidate's value is an exact pair distance: the minimum
+is the same number the full computation gives. Blocks the bound cannot vouch
+for (non-finite coordinates, or squares past float32's range) or where most
+pairs tie (so that gathering them would cost more than the full block) are
+computed in full with the exact expression. Every call gives the row and
+the column minima, so GD and IGD (`gd_igd`) come from one pass.
 
 The sample side of a call is a row source (`RowSource`): rows made one chunk
 at a time. A fitted model's grid is such a source (`grid_rows`, and
 `ResponseSurface.grid_rows`), whose chunks are whole row blocks of the grid's
 product, so each row has the bits of sampling the whole grid at once; an array
 is a source of one kernel block per chunk. The kernel makes each chunk when it
-comes to it and runs its blocks from the chunk's first row; the rounding bound
-holds per block, so any partition of the rows gives the same minima, and no
-array of the whole grid is built to score it.
+comes to it, centres it and takes its norms at once, and runs its blocks from
+the chunk's first row; the rounding bound holds per block, so any partition of
+the rows gives the same minima, and no array of the whole grid is built to
+score it.
 
 Large calls split the chunks over one thread per usable CPU (`_min_dists`),
 which make their chunks themselves. Pass 1's products run in row blocks that
 OpenBLAS keeps on the calling thread (`bezier._blocked_matmul`), so the cores
 go to those threads and not to BLAS threads that spin between calls; a
-block's row blocks go in one stacked call, which releases the GIL once.
+block's row blocks go in one stacked call, which releases the GIL once. The
+threads share the GIL for every numpy call they make, so a block makes only
+its passes over D and a few calls on its candidates: the work done per point
+(centring, norms, pass 2) runs once per chunk or group of blocks.
 """
 
 from __future__ import annotations
@@ -58,25 +62,33 @@ from .bezier import (
 from .errors import DimensionError
 from .pareto import SampleSet, check_finite
 
-# Rows per block. Besides its four passes over D, each block makes about a
-# hundred small numpy calls (on a row or a column of D, or on the few
-# candidates), which hold the GIL while the kernel's threads run, so fewer,
-# larger blocks run faster on two threads. 448 float32 rows against 1,000
-# points make a 1.75 MB D; with the 0.44 MB candidate mask and a column
-# gather of at most an eighth of D (0.22 MB), that stays below the 2.5 MB
-# that 256 float64 rows and two masks took.
+# Rows per block. Besides its passes over D, each block makes a few dozen
+# small numpy calls (on a row or a column of D, or on the few candidates),
+# which hold the GIL while the kernel's threads run, so fewer, larger blocks
+# run faster on two threads. 448 float32 rows against 1,000 points make a
+# 1.75 MB D; with the 0.44 MB candidate mask and a column gather of at most
+# an eighth of D (0.22 MB), that stays below the 2.5 MB that 256 float64 rows
+# and two masks took.
 _BLOCK_ROWS = 448
 # pass 1 runs in float32: its unit roundoff, least subnormal and overflow guard
 _U = 2.0**-24
 _ETA = float(np.finfo(np.float32).smallest_subnormal)
 _SQ_LIMIT = float(np.finfo(np.float32).max) / 16
-# Pairs each worker thread gets at least. On 2 cores, rows of the med5
-# surface grid against 1,000 points, in two series of 10 alternating
-# repeats: two threads took 0.88-1.14x the time of one at 2^22 pairs,
-# 0.82-0.97x at 2^23 (faster in 9 and 6 of 10), 0.76-0.91x at 2^24
-# (10 and 10 of 10) and 0.86-0.90x at 2^25, so calls of 2^24 pairs and more
-# split. med5's Bezier grid score (10,626 x 1,000) stays on one thread.
+# Pairs each worker thread gets at least. On 2 shared vCPUs, rows of the
+# med5 surface grid (an array: one block per chunk) against 1,000 points,
+# each side the median of 5 calls, in two series of 10 alternating repeats:
+# two threads took 0.82-1.25x the time of one at 2^22 pairs (faster in 1 and
+# 2 of 10), 0.71-1.20x at 2^23 (2 and 10 of 10) and 0.67-1.10x at 2^24
+# (8 and 9 of 10), so calls of 2^24 pairs and more split. med5's Bezier grid
+# score (10,626 x 1,000) stays on one thread.
 _PAIRS_PER_WORKER = 1 << 23
+# Pass-2 pairs a worker lets wait: it gathers their rows and differences in
+# float64, about 24 A bytes a pair, so 1,024 pairs in R^5 hold 0.12 MB, a
+# fifteenth of its D. Scoring the med5 surface grid on two threads then
+# peaks at 7.2-7.4 MB under tracemalloc, within the one grid (7.8 MB) that
+# the memory test allows; pass 2 over whole 3,840-row chunks peaked at
+# 8.5-8.9 MB.
+_PENDING_PAIRS = 1024
 
 
 def _cpu_count() -> int:
@@ -188,20 +200,43 @@ def _points(obj) -> np.ndarray:
 
 def _pair_dists(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Exact distances of broadcast point pairs; every reported minimum is one of these."""
-    return np.sqrt(np.sum((P - Q) ** 2, axis=-1))
+    d = np.subtract(P, Q)
+    return np.sqrt(np.sum(np.square(d, out=d), axis=-1))  # (P - Q) ** 2, squared in place
+
+
+def _margin(least, sq, other_sq_max, ambient: int):
+    """What `_thresholds` adds to `least` before rounding up. Every operation
+    is monotone under IEEE rounding and its operands are nonnegative, so the
+    margin never decreases as `least` or `sq` grows."""
+    near = np.maximum(least, 0.0)
+    norm = np.sqrt(sq)
+    # the other point's norm: b for a row, a for a column
+    other = np.minimum(np.sqrt(other_sq_max), norm + np.sqrt(near))
+    both = norm + other
+    # squares as products: the bits of ** 2 on arrays, and on floats too
+    err = 3 * near + ambient * (sq + other * other) + (ambient + 3) * (both * both)
+    return 2 * (2 * _U * err + (3 * ambient + 2) * _ETA)
+
+
+def _round_up(thr) -> np.ndarray:
+    """`thr` cast to float32 and rounded up: at least `thr`."""
+    return np.nextafter(thr.astype(np.float32), np.float32(np.inf))
 
 
 def _thresholds(least, sq, other_sq_max, ambient: int) -> np.ndarray:
     """Pass 1's float32 thresholds (see `_min_dists`) for points in R^ambient
     of squared norms `sq` and least D `least`, the other set's squared norms
     being at most `other_sq_max`."""
-    near = np.maximum(least, 0.0)
-    norm = np.sqrt(sq)
-    # the other point's norm: b for a row, a for a column
-    other = np.minimum(np.sqrt(other_sq_max), norm + np.sqrt(near))
-    err = 3 * near + ambient * (sq + other**2) + (ambient + 3) * (norm + other) ** 2
-    thr = least + 2 * (2 * _U * err + (3 * ambient + 2) * _ETA)
-    return np.nextafter(thr.astype(np.float32), np.float32(np.inf))  # rounded up
+    return _round_up(least + _margin(least, sq, other_sq_max, ambient))
+
+
+def _loose_thresholds(least, sq, other_sq_max, ambient: int) -> np.ndarray:
+    """At least `_thresholds(least, sq, other_sq_max, ambient)` for every
+    point, from one margin: that of the largest `least` and the largest `sq`,
+    which is at least each point's own (`_margin` is monotone), added to each
+    `least` and rounded up as there (both monotone too)."""
+    margin = _margin(float(least.max()), float(sq.max()), other_sq_max, ambient)  # floats: fewer calls
+    return _round_up(least + margin)
 
 
 def _min_dists(X, Y: np.ndarray):
@@ -260,28 +295,49 @@ def _min_dists(X, Y: np.ndarray):
 
     The candidates are found without a full mask of D against either
     threshold. A row's least D (its argmin) is always within its threshold,
-    which lies above it. Masking that entry and taking the row minimum again
+    which lies above it. Masking that entry and taking the row's least again
     gives the second least; only a row whose second least is within its
     threshold can have another candidate, and only such rows are compared
-    in full. A column can have a candidate only if its least D in the block
-    is within its threshold, so only those columns are compared, or the
-    whole block when more than an eighth of them are: past about a fifth a
-    gather costs more than a full compare, and an eighth bounds its copy. The
-    column thresholds depend only on the running minima and the largest row
-    norm, so they are recomputed only when a column's running minimum fell
-    or the block raised that norm. So each set holds exactly the entries of
-    D within their thresholds, as full masks would give them, and each
-    count is that of the full mask. Pass 2 takes the rows' candidate pairs
-    as (k, A) rows (each row's least, then the other rows' masks) for the
-    row minima, then the columns' for the column minima; a pair in both
-    sets is computed twice, to the same bits. When the two sets hold more
-    than a quarter of the block's pairs (mass ties), the full block is
-    computed instead, so memory stays within that of the full block's
-    (rows, n_Y, A) tensors.
+    in full. Only the rows that pass a pre-test get their exact threshold
+    (`_loose_thresholds`): each operation of the margin a threshold adds
+    (max, sqrt, min, + and * on nonnegative operands) is monotone under IEEE
+    rounding, and so are the addition to the least D, the cast to float32
+    and the rounding up. So the margin of the block's largest least D and
+    largest squared norm, added to each row's least D and rounded as the
+    threshold is, lies at or above every row's own threshold, and a row
+    whose second least is above it has no second candidate. A column can
+    have a candidate only if its least D in the block is within its
+    threshold, so only those columns are compared, or the whole block when
+    more than an eighth of them are: past about a fifth a gather costs more
+    than a full compare, and an eighth bounds its copy. The column
+    thresholds depend only on the running minima and the largest row norm,
+    so they are recomputed only when a column's running minimum fell or the
+    block raised that norm. So each set holds exactly the entries of D
+    within their thresholds, as full masks would give them, and each count
+    is that of the full mask. When the two sets hold more than a quarter of
+    the block's pairs (mass ties), the full block is computed instead, so
+    memory stays within that of the full block's (rows, n_Y, A) tensors;
+    its rows take no pass-2 pair.
+
+    Pass 2 runs for a group of a chunk's screened blocks: once more than
+    `_PENDING_PAIRS` pairs wait, before a block computed in full (so that
+    NaNs merge into the column minima in block order) and at the chunk's
+    end. It takes each row's least-D pair as (k, A) rows, the multi rows'
+    candidates for their minima, then the columns' candidates for the
+    column minima; a pair in both sets is computed twice, to the same bits.
+    Every candidate's distance is exact, and the least of a set of exact
+    values does not depend on how the set is grouped, so the groups change
+    no bit.
 
     Nothing above depends on where the blocks start, so X's chunks may have
-    any sizes: each is made when its turn comes and split into blocks from
-    its own first row. An array is a source of one block per chunk.
+    any sizes: each is made when its turn comes, centred, cast and given its
+    norms at once, and split into blocks from its own first row. An array
+    is a source of one block per chunk. A worker holds D (`_BLOCK_ROWS` by
+    n_Y float32), the candidate mask (a byte per entry of D), its chunk's
+    float32 rows, norms and argmins (4 (A + 2) + 16 bytes a row) and the
+    pairs waiting for pass 2 (about 24 A bytes a pair): for the med5 surface
+    grid, 1.75 + 0.44 + 0.17 + 0.12 MB. A chunk's arrays are freed before
+    the next is made.
 
     Large calls split the chunks into contiguous runs, one per worker thread
     (`_workers`), which makes its chunks itself. A run keeps its own running
@@ -307,13 +363,6 @@ def _min_dists(X, Y: np.ndarray):
     y_sq = W[ambient].astype(float)
     y_sq_max = y_sq.max()
 
-    def blocks(chunks):
-        """(first row, rows) of each `_BLOCK_ROWS` block of the chunks, made in turn."""
-        for bounds in chunks:
-            points = X.make(bounds)
-            for start in range(0, points.shape[0], _BLOCK_ROWS):
-                yield bounds[0] + start, points[start : start + _BLOCK_ROWS]
-
     def run(chunks):
         """Row minima of the rows of `chunks` into row_mins; their column minima."""
         col_mins = np.full(n_y, np.inf)
@@ -324,68 +373,103 @@ def _min_dists(X, Y: np.ndarray):
         D_buf = np.empty((rows_max, n_y), dtype=np.float32)
         cand_buf = np.empty(rows_max * n_y, dtype=bool)
         every_row = np.arange(rows_max)
-        for start, block in blocks(chunks):
-            nb = block.shape[0]
-            rows = slice(start, start + nb)
-            Xa = np.empty((nb, ambient + 2), dtype=np.float32)
+        second_at = np.empty(rows_max, dtype=np.intp)
+        multis, cols = [], []  # candidates waiting for pass 2
+
+        def flush(hi):
+            """Pass 2 of the chunk's screened rows lo:hi and of the candidates waiting."""
+            if hi > lo:
+                d = _pair_dists(points[lo:hi], Y[near[lo:hi]])
+                if multis:
+                    # a multi row's candidates include its least D, and pi is sorted
+                    rows, pi, pj = (np.concatenate(parts) for parts in zip(*multis))
+                    starts = np.searchsorted(pi, rows)
+                    d[rows - lo] = np.minimum.reduceat(_pair_dists(points[pi], Y[pj]), starts)
+                row_mins[c0 + lo : c0 + hi] = d
+            if cols:
+                # these distances are finite, but col_mins may hold a full-path
+                # block's NaN, on which np.minimum.at (not np.minimum) flags invalid
+                ci, cj = (np.concatenate(parts) for parts in zip(*cols))
+                best = np.full(n_y, np.inf)
+                np.minimum.at(best, cj, _pair_dists(points[ci], Y[cj]))
+                np.minimum(col_mins, best, out=col_mins)
+            multis.clear()
+            cols.clear()
+
+        for bounds in chunks:
+            points, c0 = X.make(bounds), bounds[0]
+            n = points.shape[0]
+            Xa = np.empty((n, ambient + 2), dtype=np.float32)
             with np.errstate(over="ignore", invalid="ignore"):
-                np.subtract(block, centre, out=Xa[:, :ambient])
+                np.subtract(points, centre, out=Xa[:, :ambient])
                 Xa[:, ambient] = 1.0
                 Xa[:, ambient + 1] = np.einsum("ij,ij->i", Xa[:, :ambient], Xa[:, :ambient])
             x_sq = Xa[:, ambient + 1].astype(float)
-            bound = np.maximum(x_sq_max, x_sq.max())  # NaN propagates
-            screened = False
-            if bound + y_sq_max <= _SQ_LIMIT:
-                raised, x_sq_max = bound > x_sq_max, bound
-                D, every = D_buf[:nb], every_row[:nb]
-                _blocked_matmul(Xa, W, out=D)
-                # rows: the least D, then the second least with the least masked
-                near = D.argmin(axis=1)
-                least = D[every, near]
-                D[every, near] = np.inf
-                second = D.min(axis=1)  # inf for a one-column D
-                D[every, near] = least
-                row_thr = _thresholds(least.astype(float), x_sq, y_sq_max, ambient)
-                multi = np.flatnonzero(second <= row_thr)
-                mi = mj = every[:0]
+            near = np.empty(n, dtype=np.intp)  # each row's least D
+            lo, pending = 0, 0  # rows lo: and `pending` pairs in all wait for pass 2
+            for start in range(0, n, _BLOCK_ROWS):
+                stop = min(start + _BLOCK_ROWS, n)
+                nb = stop - start
+                bound = np.maximum(x_sq_max, x_sq[start:stop].max())  # NaN propagates
+                screened = False
+                if bound + y_sq_max <= _SQ_LIMIT:
+                    raised, x_sq_max = bound > x_sq_max, bound
+                    D, every = D_buf[:nb], every_row[:nb]
+                    _blocked_matmul(Xa[start:stop], W, out=D)
+                    # rows: the least D, then the second least with the least masked
+                    # (argmin and a gather: faster than min on float32 rows)
+                    least_at = D.argmin(axis=1, out=near[start:stop])
+                    least = D[every, least_at]
+                    D[every, least_at] = np.inf
+                    second = D[every, D.argmin(axis=1, out=second_at[:nb])]  # inf for a one-column D
+                    D[every, least_at] = least
+                    # only rows within the loose thresholds can be within their own
+                    least = least.astype(float)
+                    loose = _loose_thresholds(least, x_sq[start:stop], y_sq_max, ambient)
+                    multi = np.flatnonzero(second <= loose)
+                    mi = mj = every[:0]
+                    if multi.size:
+                        row_thr = _thresholds(least[multi], x_sq[start + multi], y_sq_max, ambient)
+                        within = second[multi] <= row_thr
+                        multi, row_thr = multi[within], row_thr[within]
+                    if multi.size:
+                        cand = cand_buf[: multi.size * n_y].reshape(multi.size, n_y)
+                        np.less_equal(D[multi], row_thr[:, None], out=cand)
+                        mi, mj = np.divmod(np.flatnonzero(cand), n_y)
+                    # columns: only those whose least D is within their threshold
+                    col_least = D.min(axis=0)
+                    if raised or np.any(col_least < col_run):
+                        np.minimum(col_run, col_least, out=col_run)
+                        col_thr = _thresholds(col_run.astype(float), y_sq, x_sq_max, ambient)
+                    live = np.flatnonzero(col_least <= col_thr)
+                    ci = cj = every[:0]
+                    if 8 * live.size > n_y:
+                        cand = cand_buf[: nb * n_y].reshape(nb, n_y)
+                        ci, cj = np.divmod(np.flatnonzero(np.less_equal(D, col_thr, out=cand)), n_y)
+                    elif live.size:
+                        cand = cand_buf[: nb * live.size].reshape(nb, live.size)
+                        np.less_equal(D[:, live], col_thr[live], out=cand)
+                        ci, cj = np.divmod(np.flatnonzero(cand), live.size)
+                        cj = live[cj]
+                    # the rows' candidates number nb - multi.size + mi.size
+                    screened = 4 * (nb - multi.size + mi.size + ci.size) <= nb * n_y  # else mostly ties
+                if not screened:
+                    flush(start)
+                    lo, pending = stop, 0
+                    d = _pair_dists(points[start:stop, None, :], Y[None, :, :])
+                    row_mins[c0 + start : c0 + stop] = d.min(axis=1)
+                    np.minimum(col_mins, d.min(axis=0), out=col_mins)
+                    continue
                 if multi.size:
-                    cand = cand_buf[: multi.size * n_y].reshape(multi.size, n_y)
-                    np.less_equal(D[multi], row_thr[multi, None], out=cand)
-                    mi, mj = np.divmod(np.flatnonzero(cand), n_y)
-                # columns: only those whose least D is within their threshold
-                col_least = D.min(axis=0)
-                if raised or np.any(col_least < col_run):
-                    np.minimum(col_run, col_least, out=col_run)
-                    col_thr = _thresholds(col_run.astype(float), y_sq, x_sq_max, ambient)
-                live = np.flatnonzero(col_least <= col_thr)
-                ci = cj = every[:0]
-                if 8 * live.size > n_y:
-                    cand = cand_buf[: nb * n_y].reshape(nb, n_y)
-                    ci, cj = np.divmod(np.flatnonzero(np.less_equal(D, col_thr, out=cand)), n_y)
-                elif live.size:
-                    cand = cand_buf[: nb * live.size].reshape(nb, live.size)
-                    np.less_equal(D[:, live], col_thr[live], out=cand)
-                    ci, cj = np.divmod(np.flatnonzero(cand), live.size)
-                    cj = live[cj]
-                # the rows' candidates number nb - multi.size + mi.size
-                screened = 4 * (nb - multi.size + mi.size + ci.size) <= nb * n_y  # else mostly ties
-            if not screened:
-                d = _pair_dists(block[:, None, :], Y[None, :, :])
-                row_mins[rows] = d.min(axis=1)
-                np.minimum(col_mins, d.min(axis=0), out=col_mins)
-                continue
-            d = _pair_dists(block, Y[near])
-            if multi.size:
-                # a multi row's candidates include its least D, and mi is sorted
-                starts = np.searchsorted(mi, np.arange(multi.size))
-                d[multi] = np.minimum.reduceat(_pair_dists(block[multi[mi]], Y[mj]), starts)
-            row_mins[rows] = d
-            if ci.size:
-                # these distances are finite, but col_mins may hold a full-path
-                # block's NaN, on which np.minimum.at (not np.minimum) flags invalid
-                best = np.full(n_y, np.inf)
-                np.minimum.at(best, cj, _pair_dists(block[ci], Y[cj]))
-                np.minimum(col_mins, best, out=col_mins)
+                    multis.append((start + multi, start + multi[mi], mj))
+                if ci.size:
+                    cols.append((start + ci, cj))
+                pending += nb + mi.size + ci.size
+                if pending > _PENDING_PAIRS:
+                    flush(stop)
+                    lo, pending = stop, 0
+            flush(n)
+            del points, Xa, x_sq, near  # freed before the next chunk is made
         return col_mins
 
     chunks = X.chunks

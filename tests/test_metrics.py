@@ -521,6 +521,83 @@ def test_kernel_every_float32_edge_magnitude_in_one_set():
     assert_threaded_kernel_matches_reference(Y, X, block_rows=64)
 
 
+# -- chunks of several blocks ---------------------------------------------------------
+
+
+def assert_chunked_kernel_matches_reference(X, Y, sizes):
+    """`_min_dists` on a source of X whose chunks have `sizes` rows, in 16-row
+    blocks on 1-4 threads, against the one-pass reference."""
+    import bsf.metrics as metrics
+
+    edges = np.cumsum([0, *sizes])
+    assert edges[-1] == X.shape[0]
+    chunks = [[int(a), int(b)] for a, b in zip(edges[:-1], edges[1:])]
+    source = RowSource(X.shape[0], X.shape[1], chunks, lambda bounds: X[bounds[0] : bounds[-1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_min_dists(X, Y, True)
+        for cpus in (1, 2, 3, 4):
+            with forced_threads(cpus, block_rows=16):
+                got = metrics._min_dists(source, Y)
+            assert np.array_equal(got[0].view(np.uint64), expected[0].view(np.uint64))
+            assert np.array_equal(got[1].view(np.uint64), expected[1].view(np.uint64))
+
+
+# 3 to 5 blocks of 16 rows a chunk, most ending on a part block: 600 rows
+SEVERAL_BLOCKS = [56, 80, 72, 64, 50, 78, 60, 68, 72]
+
+
+@pytest.mark.parametrize("case", ["near-ties", "nan", "inf", "-inf", "1e200", "nan-signs"])
+def test_kernel_chunks_of_several_blocks(case):
+    import bsf.metrics as metrics
+
+    rng = np.random.default_rng(37)
+    X, Y = near_tie_sets(rng, 600, 4)  # rows with two candidates
+    # every column is a candidate in a run's first block: past the pending
+    # pairs, so pass 2 runs in the middle of a chunk too
+    assert Y.shape[0] > metrics._PENDING_PAIRS
+    if case == "nan-signs":
+        X[20, 0] = np.copysign(np.nan, -1.0)  # chunk 0's second block
+        X[430, 2] = np.nan  # chunk 6
+    elif case != "near-ties":
+        X[176, 1] = float(case)  # the middle block of chunk 2
+    assert_chunked_kernel_matches_reference(X, Y, SEVERAL_BLOCKS)
+
+
+def test_row_pre_test_keeps_every_row_the_thresholds_flag(monkeypatch):
+    # The pre-test adds one margin, the largest row's, to every least D; a
+    # row's own threshold is never above it. Seconds sit at each row's
+    # threshold, one float32 ulp past it, at its least, far off, or at inf
+    # (a one-column D). With half the margin, the pre-test misses rows.
+    import bsf.metrics as metrics
+
+    rng = np.random.default_rng(38)
+    real_margin = metrics._margin
+    missed_at_half = 0
+    for ambient in range(1, 13):
+        for scale in [1.0] + FLOAT32_EDGES:
+            with np.errstate(over="ignore"):
+                sq = np.sort((rng.uniform(0.0, 1.0, 300) * scale) ** 2 * ambient).astype(np.float32)
+                least = np.sort(rng.uniform(0.0, 1.0, 300) * scale**2).astype(np.float32)
+            least[:-1:7] = -1e-6 * np.minimum(least[:-1:7], 1.0)  # rounding puts a few least D below 0
+            least, sq = least.astype(float), sq.astype(float)
+            other_sq_max = float(sq.max())
+            exact = metrics._thresholds(least, sq, other_sq_max, ambient)
+            loose = metrics._loose_thresholds(least, sq, other_sq_max, ambient)
+            assert np.all(loose >= exact)
+            past = np.nextafter(exact, np.float32(np.inf))
+            far, one_column = 2 * past + 1, np.full_like(past, np.inf)
+            options = np.stack([exact, past, least.astype(np.float32), far, one_column])
+            second = options[rng.integers(0, 5, size=least.size), np.arange(least.size)]
+            second[-1] = exact[-1]
+            flagged = second <= exact
+            assert np.all(second[flagged] <= loose[flagged])
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "_margin", lambda *args: 0.5 * real_margin(*args))
+                half = metrics._loose_thresholds(least, sq, other_sq_max, ambient)
+            missed_at_half += np.count_nonzero(flagged & (second > half))
+    assert missed_at_half > 0
+
+
 # -- pass 1's candidates against the two full threshold masks ------------------------
 
 

@@ -24,8 +24,10 @@ levels at a size that is no power of two); `generate`,
 solution columns; an experiment on a one-objective sample file, where the
 response surface fails every trial; and malformed-input probes (bad
 manifests, model headers, a model that lists a control point twice,
-tolerances, and a grid too large to allocate), whose standard error is
-compared too.
+tolerances, a grid too large to allocate, and a med5 response surface whose
+box grid squares past the GD/IGD kernel's float32 guard in part only, so that
+blocks the kernel screens and blocks it computes in full meet inside one
+chunk on two threads), whose standard error is compared too.
 """
 
 from __future__ import annotations
@@ -105,6 +107,18 @@ def _repeat_first_point(name):
         data = json.loads((work / "med5/model-inductive.json").read_text())
         first = data["control_points"][0]
         data["control_points"].append({**first, "point": [v + 1.0 for v in first["point"]]})
+        (work / "probes" / name).write_text(json.dumps(data))
+    return prepare
+
+
+def _surface_past_the_guard(name):
+    """med5's response surface with 1e20 on its second input's cube: the grid
+    rows where that input is 0.4 or more square past the kernel's float32
+    guard and the rest do not, so screened and computed-in-full blocks meet
+    inside one chunk."""
+    def prepare(work: Path):
+        data = json.loads((work / "med5/model-response-surface.json").read_text())
+        data["coefficients"][data["exponents"].index([0, 3, 0, 0])] = 1e20
         (work / "probes" / name).write_text(json.dumps(data))
     return prepare
 
@@ -202,6 +216,9 @@ def steps() -> list[Step]:
          _edit_json("med5/model-response-surface.json", "surface-string-M.json", M="3")),
         ("bezier-repeated-point", _evaluate("probes/bezier-repeated-point.json"),
          _repeat_first_point("bezier-repeated-point.json")),
+        # 194,481 x 300 pairs: two kernel threads on two CPUs
+        ("surface-past-the-guard", _evaluate("probes/surface-past-the-guard.json"),
+         _surface_past_the_guard("surface-past-the-guard.json")),
         # a table of C(27, 7) = 888,030 rows that one entry cannot fill
         ("bezier-M8-D20", _evaluate("probes/bezier-M8-D20.json"),
          _edit_json("med5/model-inductive.json", "bezier-M8-D20.json", M=8, D=20,
