@@ -230,13 +230,19 @@ def _thresholds(least, sq, other_sq_max, ambient: int) -> np.ndarray:
     return _round_up(least + _margin(least, sq, other_sq_max, ambient))
 
 
-def _loose_thresholds(least, sq, other_sq_max, ambient: int) -> np.ndarray:
+def _loose_thresholds(least, sq_max, other_sq_max, ambient: int) -> np.ndarray:
     """At least `_thresholds(least, sq, other_sq_max, ambient)` for every
-    point, from one margin: that of the largest `least` and the largest `sq`,
-    which is at least each point's own (`_margin` is monotone), added to each
-    `least` and rounded up as there (both monotone too)."""
-    margin = _margin(float(least.max()), float(sq.max()), other_sq_max, ambient)  # floats: fewer calls
+    point of squared norm sq <= `sq_max`, from one margin: that of the
+    largest `least` and `sq_max`, which is at least each point's own
+    (`_margin` is monotone), added to each `least` and rounded up as there
+    (both monotone too)."""
+    margin = _margin(float(least.max()), float(sq_max), other_sq_max, ambient)  # floats: fewer calls
     return _round_up(least + margin)
+
+
+def _joined(parts) -> np.ndarray:
+    """The arrays `parts` end to end; a lone part as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _min_dists(X, Y: np.ndarray):
@@ -382,14 +388,14 @@ def _min_dists(X, Y: np.ndarray):
                 d = _pair_dists(points[lo:hi], Y[near[lo:hi]])
                 if multis:
                     # a multi row's candidates include its least D, and pi is sorted
-                    rows, pi, pj = (np.concatenate(parts) for parts in zip(*multis))
+                    rows, pi, pj = map(_joined, zip(*multis))
                     starts = np.searchsorted(pi, rows)
                     d[rows - lo] = np.minimum.reduceat(_pair_dists(points[pi], Y[pj]), starts)
                 row_mins[c0 + lo : c0 + hi] = d
             if cols:
                 # these distances are finite, but col_mins may hold a full-path
                 # block's NaN, on which np.minimum.at (not np.minimum) flags invalid
-                ci, cj = (np.concatenate(parts) for parts in zip(*cols))
+                ci, cj = map(_joined, zip(*cols))
                 best = np.full(n_y, np.inf)
                 np.minimum.at(best, cj, _pair_dists(points[ci], Y[cj]))
                 np.minimum(col_mins, best, out=col_mins)
@@ -410,7 +416,8 @@ def _min_dists(X, Y: np.ndarray):
             for start in range(0, n, _BLOCK_ROWS):
                 stop = min(start + _BLOCK_ROWS, n)
                 nb = stop - start
-                bound = np.maximum(x_sq_max, x_sq[start:stop].max())  # NaN propagates
+                block_sq = x_sq[start:stop].max()
+                bound = np.maximum(x_sq_max, block_sq)  # NaN propagates
                 screened = False
                 if bound + y_sq_max <= _SQ_LIMIT:
                     raised, x_sq_max = bound > x_sq_max, bound
@@ -425,7 +432,7 @@ def _min_dists(X, Y: np.ndarray):
                     D[every, least_at] = least
                     # only rows within the loose thresholds can be within their own
                     least = least.astype(float)
-                    loose = _loose_thresholds(least, x_sq[start:stop], y_sq_max, ambient)
+                    loose = _loose_thresholds(least, block_sq, y_sq_max, ambient)
                     multi = np.flatnonzero(second <= loose)
                     mi = mj = every[:0]
                     if multi.size:

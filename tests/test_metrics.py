@@ -582,7 +582,7 @@ def test_row_pre_test_keeps_every_row_the_thresholds_flag(monkeypatch):
             least, sq = least.astype(float), sq.astype(float)
             other_sq_max = float(sq.max())
             exact = metrics._thresholds(least, sq, other_sq_max, ambient)
-            loose = metrics._loose_thresholds(least, sq, other_sq_max, ambient)
+            loose = metrics._loose_thresholds(least, sq.max(), other_sq_max, ambient)
             assert np.all(loose >= exact)
             past = np.nextafter(exact, np.float32(np.inf))
             far, one_column = 2 * past + 1, np.full_like(past, np.inf)
@@ -593,7 +593,7 @@ def test_row_pre_test_keeps_every_row_the_thresholds_flag(monkeypatch):
             assert np.all(second[flagged] <= loose[flagged])
             with monkeypatch.context() as patch:
                 patch.setattr(metrics, "_margin", lambda *args: 0.5 * real_margin(*args))
-                half = metrics._loose_thresholds(least, sq, other_sq_max, ambient)
+                half = metrics._loose_thresholds(least, sq.max(), other_sq_max, ambient)
             missed_at_half += np.count_nonzero(flagged & (second > half))
     assert missed_at_half > 0
 
