@@ -204,10 +204,10 @@ def _pair_dists(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.square(d, out=d), axis=-1))  # (P - Q) ** 2, squared in place
 
 
-def _margin(least, sq, other_sq_max, ambient: int):
-    """What `_thresholds` adds to `least` before rounding up. Every operation
-    is monotone under IEEE rounding and its operands are nonnegative, so the
-    margin never decreases as `least` or `sq` grows."""
+def _thresholds(least, sq, other_sq_max, ambient: int) -> np.ndarray:
+    """Pass 1's float32 thresholds (see `_min_dists`) for points in R^ambient
+    of squared norms `sq` and least D `least`, the other set's squared norms
+    being at most `other_sq_max`."""
     near = np.maximum(least, 0.0)
     norm = np.sqrt(sq)
     # the other point's norm: b for a row, a for a column
@@ -215,34 +215,8 @@ def _margin(least, sq, other_sq_max, ambient: int):
     both = norm + other
     # squares as products: the bits of ** 2 on arrays, and on floats too
     err = 3 * near + ambient * (sq + other * other) + (ambient + 3) * (both * both)
-    return 2 * (2 * _U * err + (3 * ambient + 2) * _ETA)
-
-
-def _round_up(thr) -> np.ndarray:
-    """`thr` cast to float32 and rounded up: at least `thr`."""
-    return np.nextafter(thr.astype(np.float32), np.float32(np.inf))
-
-
-def _thresholds(least, sq, other_sq_max, ambient: int) -> np.ndarray:
-    """Pass 1's float32 thresholds (see `_min_dists`) for points in R^ambient
-    of squared norms `sq` and least D `least`, the other set's squared norms
-    being at most `other_sq_max`."""
-    return _round_up(least + _margin(least, sq, other_sq_max, ambient))
-
-
-def _loose_thresholds(least, sq_max, other_sq_max, ambient: int) -> np.ndarray:
-    """At least `_thresholds(least, sq, other_sq_max, ambient)` for every
-    point of squared norm sq <= `sq_max`, from one margin: that of the
-    largest `least` and `sq_max`, which is at least each point's own
-    (`_margin` is monotone), added to each `least` and rounded up as there
-    (both monotone too)."""
-    margin = _margin(float(least.max()), float(sq_max), other_sq_max, ambient)  # floats: fewer calls
-    return _round_up(least + margin)
-
-
-def _joined(parts) -> np.ndarray:
-    """The arrays `parts` end to end; a lone part as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    thr = least + 2 * (2 * _U * err + (3 * ambient + 2) * _ETA)
+    return np.nextafter(thr.astype(np.float32), np.float32(np.inf))  # rounded up
 
 
 def _min_dists(X, Y: np.ndarray):
@@ -303,27 +277,19 @@ def _min_dists(X, Y: np.ndarray):
     threshold. A row's least D (its argmin) is always within its threshold,
     which lies above it. Masking that entry and taking the row's least again
     gives the second least; only a row whose second least is within its
-    threshold can have another candidate, and only such rows are compared
-    in full. Only the rows that pass a pre-test get their exact threshold
-    (`_loose_thresholds`): each operation of the margin a threshold adds
-    (max, sqrt, min, + and * on nonnegative operands) is monotone under IEEE
-    rounding, and so are the addition to the least D, the cast to float32
-    and the rounding up. So the margin of the block's largest least D and
-    largest squared norm, added to each row's least D and rounded as the
-    threshold is, lies at or above every row's own threshold, and a row
-    whose second least is above it has no second candidate. A column can
-    have a candidate only if its least D in the block is within its
-    threshold, so only those columns are compared, or the whole block when
-    more than an eighth of them are: past about a fifth a gather costs more
-    than a full compare, and an eighth bounds its copy. The column
-    thresholds depend only on the running minima and the largest row norm,
-    so they are recomputed only when a column's running minimum fell or the
-    block raised that norm. So each set holds exactly the entries of D
-    within their thresholds, as full masks would give them, and each count
-    is that of the full mask. When the two sets hold more than a quarter of
-    the block's pairs (mass ties), the full block is computed instead, so
-    memory stays within that of the full block's (rows, n_Y, A) tensors;
-    its rows take no pass-2 pair.
+    threshold can have another candidate, and only such rows are compared in
+    full. A column can have a candidate only if its least D in the block is
+    within its threshold, so only those columns are compared, or the whole
+    block when more than an eighth of them are: past about a fifth a gather
+    costs more than a full compare, and an eighth bounds its copy. The column
+    thresholds depend only on the running minima and the largest row norm, so
+    they are recomputed only when a column's running minimum fell or the block
+    raised that norm. So each set holds exactly the entries of D within their
+    thresholds, as full masks would give them, and each count is that of the
+    full mask. When the two sets hold more than a quarter of the block's pairs
+    (mass ties), the full block is computed instead, so memory stays within
+    that of the full block's (rows, n_Y, A) tensors; its rows take no pass-2
+    pair.
 
     Pass 2 runs for a group of a chunk's screened blocks: once more than
     `_PENDING_PAIRS` pairs wait, before a block computed in full (so that
@@ -388,14 +354,14 @@ def _min_dists(X, Y: np.ndarray):
                 d = _pair_dists(points[lo:hi], Y[near[lo:hi]])
                 if multis:
                     # a multi row's candidates include its least D, and pi is sorted
-                    rows, pi, pj = map(_joined, zip(*multis))
+                    rows, pi, pj = map(np.concatenate, zip(*multis))
                     starts = np.searchsorted(pi, rows)
                     d[rows - lo] = np.minimum.reduceat(_pair_dists(points[pi], Y[pj]), starts)
                 row_mins[c0 + lo : c0 + hi] = d
             if cols:
                 # these distances are finite, but col_mins may hold a full-path
                 # block's NaN, on which np.minimum.at (not np.minimum) flags invalid
-                ci, cj = map(_joined, zip(*cols))
+                ci, cj = map(np.concatenate, zip(*cols))
                 best = np.full(n_y, np.inf)
                 np.minimum.at(best, cj, _pair_dists(points[ci], Y[cj]))
                 np.minimum(col_mins, best, out=col_mins)
@@ -416,8 +382,7 @@ def _min_dists(X, Y: np.ndarray):
             for start in range(0, n, _BLOCK_ROWS):
                 stop = min(start + _BLOCK_ROWS, n)
                 nb = stop - start
-                block_sq = x_sq[start:stop].max()
-                bound = np.maximum(x_sq_max, block_sq)  # NaN propagates
+                bound = np.maximum(x_sq_max, x_sq[start:stop].max())  # NaN propagates
                 screened = False
                 if bound + y_sq_max <= _SQ_LIMIT:
                     raised, x_sq_max = bound > x_sq_max, bound
@@ -430,18 +395,12 @@ def _min_dists(X, Y: np.ndarray):
                     D[every, least_at] = np.inf
                     second = D[every, D.argmin(axis=1, out=second_at[:nb])]  # inf for a one-column D
                     D[every, least_at] = least
-                    # only rows within the loose thresholds can be within their own
-                    least = least.astype(float)
-                    loose = _loose_thresholds(least, block_sq, y_sq_max, ambient)
-                    multi = np.flatnonzero(second <= loose)
+                    row_thr = _thresholds(least.astype(float), x_sq[start:stop], y_sq_max, ambient)
+                    multi = np.flatnonzero(second <= row_thr)
                     mi = mj = every[:0]
                     if multi.size:
-                        row_thr = _thresholds(least[multi], x_sq[start + multi], y_sq_max, ambient)
-                        within = second[multi] <= row_thr
-                        multi, row_thr = multi[within], row_thr[within]
-                    if multi.size:
                         cand = cand_buf[: multi.size * n_y].reshape(multi.size, n_y)
-                        np.less_equal(D[multi], row_thr[:, None], out=cand)
+                        np.less_equal(D[multi], row_thr[multi, None], out=cand)
                         mi, mj = np.divmod(np.flatnonzero(cand), n_y)
                     # columns: only those whose least D is within their threshold
                     col_least = D.min(axis=0)

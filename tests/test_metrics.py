@@ -563,39 +563,31 @@ def test_kernel_chunks_of_several_blocks(case):
     assert_chunked_kernel_matches_reference(X, Y, SEVERAL_BLOCKS)
 
 
-def test_row_pre_test_keeps_every_row_the_thresholds_flag(monkeypatch):
-    # The pre-test adds one margin, the largest row's, to every least D; a
-    # row's own threshold is never above it. Seconds sit at each row's
-    # threshold, one float32 ulp past it, at its least, far off, or at inf
-    # (a one-column D). With half the margin, the pre-test misses rows.
-    import bsf.metrics as metrics
+# SHA-256 of `_thresholds`' float32 bits over the table below, as the
+# kernel gave them when its squares were first written as products
+THRESHOLD_DIGEST = "f77c7de7a4addabf14918de3d8c65c06abf97d1b64decc4994b0962fa4a844df"
+
+
+def test_thresholds_keep_their_bits():
+    # The mask tests build their oracle with `_thresholds` itself, so a
+    # threshold that moved would pass them; this pins every bit. Ambient
+    # 1-12, magnitudes 1 and the float32 edges, sorted random norms and
+    # least D, every seventh least D a rounding below 0.
+    import hashlib
 
     rng = np.random.default_rng(38)
-    real_margin = metrics._margin
-    missed_at_half = 0
+    digest = hashlib.sha256()
     for ambient in range(1, 13):
         for scale in [1.0] + FLOAT32_EDGES:
             with np.errstate(over="ignore"):
                 sq = np.sort((rng.uniform(0.0, 1.0, 300) * scale) ** 2 * ambient).astype(np.float32)
                 least = np.sort(rng.uniform(0.0, 1.0, 300) * scale**2).astype(np.float32)
-            least[:-1:7] = -1e-6 * np.minimum(least[:-1:7], 1.0)  # rounding puts a few least D below 0
+            least[:-1:7] = -1e-6 * np.minimum(least[:-1:7], 1.0)
             least, sq = least.astype(float), sq.astype(float)
-            other_sq_max = float(sq.max())
-            exact = metrics._thresholds(least, sq, other_sq_max, ambient)
-            loose = metrics._loose_thresholds(least, sq.max(), other_sq_max, ambient)
-            assert np.all(loose >= exact)
-            past = np.nextafter(exact, np.float32(np.inf))
-            far, one_column = 2 * past + 1, np.full_like(past, np.inf)
-            options = np.stack([exact, past, least.astype(np.float32), far, one_column])
-            second = options[rng.integers(0, 5, size=least.size), np.arange(least.size)]
-            second[-1] = exact[-1]
-            flagged = second <= exact
-            assert np.all(second[flagged] <= loose[flagged])
-            with monkeypatch.context() as patch:
-                patch.setattr(metrics, "_margin", lambda *args: 0.5 * real_margin(*args))
-                half = metrics._loose_thresholds(least, sq.max(), other_sq_max, ambient)
-            missed_at_half += np.count_nonzero(flagged & (second > half))
-    assert missed_at_half > 0
+            thr = metrics._thresholds(least, sq, float(sq.max()), ambient)
+            assert thr.dtype == np.float32
+            digest.update(thr.tobytes())
+    assert digest.hexdigest() == THRESHOLD_DIGEST
 
 
 # -- pass 1's candidates against the two full threshold masks ------------------------
