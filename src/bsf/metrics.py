@@ -213,7 +213,7 @@ def _thresholds(least, sq, other_sq_max, ambient: int) -> np.ndarray:
     # the other point's norm: b for a row, a for a column
     other = np.minimum(np.sqrt(other_sq_max), norm + np.sqrt(near))
     both = norm + other
-    # squares as products: the bits of ** 2 on arrays, and on floats too
+    # squares as products: the bits of ** 2 on arrays
     err = 3 * near + ambient * (sq + other * other) + (ambient + 3) * (both * both)
     thr = least + 2 * (2 * _U * err + (3 * ambient + 2) * _ETA)
     return np.nextafter(thr.astype(np.float32), np.float32(np.inf))  # rounded up
